@@ -29,14 +29,13 @@ from bihm.io import (
     save_checkpoint,
     write_pgm,
 )
-from bihm.model import ShapeError, random_model, sample_p_batch
+from bihm.model import BihmModel, ShapeError, random_model, sample_p_batch
 from bihm.oracle import (
     EnumerationLimitError,
     exact_grad_log_ptilde,
     exact_log_p,
     exact_log_ptilde,
     exact_log_ptilde_by_x,
-    exact_log_pstar,
     exact_log_z2,
     bit_matrix,
 )
@@ -165,17 +164,20 @@ def _cmd_eval(args) -> int:
         )
     rng = np.random.default_rng(args.seed)
     z_part = ""
+    z_se = 0.0
     if args.estimator == "p":
         values, ses = est_log_p_rows(model, data.data, args.k, rng)
     else:
         values, ses = est_log_ptilde_rows(model, data.data, args.k, rng)
         if args.estimator == "pstar":
             z = est_log_z2(model, ZEstimateConfig(args.z_outer, args.z_inner), rng)
+            # One log Z^2 estimate is shared by every row, so its error does
+            # not average down with the row count.
             values = values - z.value
-            ses = np.sqrt(ses**2 + z.std_error**2)
+            z_se = z.std_error
             z_part = f" log_z2={z.value:.6f}"
     mean = float(values.mean())
-    se = float(np.sqrt(np.sum(ses**2)) / len(values))
+    se = math.hypot(float(np.sqrt(np.sum(ses**2)) / len(values)), z_se)
     print(
         f"eval estimator={args.estimator} mean={mean:.6f} se={se:.6f} "
         f"rows={data.rows} k={args.k}{z_part}"
@@ -260,7 +262,7 @@ def _check_bound(model) -> list:
     worst_ident = 0.0
     for row, lpt in zip(xs, ptilde):
         lp = exact_log_p(model, row)
-        lps = exact_log_pstar(model, row)
+        lps = exact_log_ptilde(model, row) - lz2
         worst_p = max(worst_p, lpt - lp)
         worst_star = max(worst_star, lpt - lps)
         worst_ident = max(worst_ident, abs(lps - (lpt - lz2)))
@@ -279,32 +281,25 @@ def _check_z(model, k, rng) -> list:
 
 def _check_grad(model, k, rng) -> list:
     x = (rng.random(model.visible_dim) < 0.5).astype(np.float64)
-    exact = exact_grad_log_ptilde(model, x)
-    flat_exact = np.concatenate([a.ravel() for _, a in exact.param_items()])
+    exact = exact_grad_log_ptilde(model, x).params
 
     eps = 1e-5
     worst = 0.0
-    arrays = [a.copy() for _, a in model.param_items()]
-    for idx in range(len(arrays)):
-        flat = arrays[idx].ravel()
-        grad_flat = exact.param_items()[idx][1].ravel()
-        for j in range(flat.shape[0]):
-            orig = flat[j]
-            flat[j] = orig + eps
-            hi = exact_log_ptilde(model.with_params(arrays), x)
-            flat[j] = orig - eps
-            lo = exact_log_ptilde(model.with_params(arrays), x)
-            flat[j] = orig
-            fd = (hi - lo) / (2 * eps)
-            scale = max(abs(fd), abs(grad_flat[j]), 1e-8)
-            worst = max(worst, abs(fd - grad_flat[j]) / scale)
+    params = model.params.copy()
+    for j in range(params.shape[0]):
+        orig = params[j]
+        params[j] = orig + eps
+        hi = exact_log_ptilde(BihmModel.from_params(model.layer_sizes, params), x)
+        params[j] = orig - eps
+        lo = exact_log_ptilde(BihmModel.from_params(model.layer_sizes, params), x)
+        params[j] = orig
+        fd = (hi - lo) / (2 * eps)
+        scale = max(abs(fd), abs(exact[j]), 1e-8)
+        worst = max(worst, abs(fd - exact[j]) / scale)
     results = [("grad_fd", worst <= 1e-6, f"max rel err {worst:.2e}")]
 
-    g = minibatch_gradient(model, x[None, :], k, rng)
-    flat_est = np.concatenate([a.ravel() for _, a in g.param_items()])
-    cos = float(
-        flat_est @ flat_exact / (np.linalg.norm(flat_est) * np.linalg.norm(flat_exact))
-    )
+    est = minibatch_gradient(model, x[None, :], k, rng).params
+    cos = float(est @ exact / (np.linalg.norm(est) * np.linalg.norm(exact)))
     results.append(("grad_minibatch", cos >= 0.99, f"cosine {cos:.5f} at K={k}"))
     return results
 

@@ -19,9 +19,10 @@ Checkpoint format (``.bihm``):
     u32 LE      L (number of latent layers)
     u32 LE x (L+1)  layer sizes, visible first
     u32 LE      metadata byte length, then that many bytes of UTF-8 JSON
-    float64 LE  parameter arrays in fixed order: prior biases; for l = L..1
-                the p-layer weights (row-major out x in) then biases; for
-                l = 1..L the q-layer weights then biases
+    float64 LE  the model's flat parameter vector (``BihmModel.params``):
+                prior biases; for l = L..1 the p-layer weights (row-major
+                out x in) then biases; for l = 1..L the q-layer weights then
+                biases
 
 Text datasets: ``amat-text`` is whitespace-separated 0/1 values, one row per
 line; ``csv`` is the same with commas.  Anything that is not exactly a 0 or 1
@@ -38,7 +39,7 @@ from typing import Optional
 
 import numpy as np
 
-from bihm.model import BeliefLayer, BihmModel, FactorizedPrior
+from bihm.model import BihmModel, param_count
 
 __all__ = [
     "FormatError",
@@ -221,14 +222,6 @@ def save_dataset(dataset, path: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _array_floats(sizes) -> int:
-    """Total float64 count of all parameter arrays for the given layer sizes."""
-    total = sizes[-1]  # prior biases
-    for i in range(len(sizes) - 1):
-        total += 2 * (sizes[i] * sizes[i + 1]) + sizes[i] + sizes[i + 1]
-    return total
-
-
 def save_checkpoint(model: BihmModel, metadata: dict, path: str) -> None:
     """Serialize a model with its metadata map; bit-exact on reload."""
     meta_bytes = json.dumps(metadata, sort_keys=True).encode("utf-8")
@@ -239,8 +232,7 @@ def save_checkpoint(model: BihmModel, metadata: dict, path: str) -> None:
         fh.write(struct.pack(f"<{len(sizes)}I", *sizes))
         fh.write(struct.pack("<I", len(meta_bytes)))
         fh.write(meta_bytes)
-        for _, a in model.param_items():
-            fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
+        fh.write(model.params.astype("<f8", copy=False).tobytes())
 
 
 def load_checkpoint(path: str) -> Checkpoint:
@@ -266,43 +258,24 @@ def load_checkpoint(path: str) -> Checkpoint:
         raise FormatError(f"{path}: layer sizes must be positive, got {sizes}")
     (meta_len,) = struct.unpack_from("<I", blob, sizes_end)
     arrays_at = sizes_end + 4 + meta_len
-    expected = arrays_at + 8 * _array_floats(sizes)
+    expected = arrays_at + 8 * param_count(sizes)
     if len(blob) < expected:
         raise TruncatedFileError(f"{path}: expected {expected} bytes, got {len(blob)}")
     if len(blob) > expected:
         raise SizeMismatchError(f"{path}: {len(blob)} bytes on disk, header implies {expected}")
 
+    # ValueError covers bad UTF-8, bad JSON and over-long integers;
+    # RecursionError, nesting too deep to parse.
     try:
         metadata = json.loads(blob[sizes_end + 4 : arrays_at].decode("utf-8")) if meta_len else {}
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise FormatError(f"{path}: metadata is not valid UTF-8 JSON: {exc}") from None
     if not isinstance(metadata, dict):
         raise FormatError(f"{path}: metadata must be a JSON object")
 
-    floats = np.frombuffer(blob, dtype="<f8", offset=arrays_at)
-    pos = 0
-
-    def take(shape):
-        nonlocal pos
-        n = int(np.prod(shape))
-        out = floats[pos : pos + n].reshape(shape).copy()
-        pos += n
-        return out
-
-    L = num_latent
+    params = np.frombuffer(blob, dtype="<f8", offset=arrays_at).astype(np.float64)
     try:
-        prior = FactorizedPrior(take((sizes[-1],)))
-        p_layers = [None] * L
-        for i in range(L - 1, -1, -1):
-            w = take((sizes[i], sizes[i + 1]))
-            b = take((sizes[i],))
-            p_layers[i] = BeliefLayer(w, b)
-        q_layers = []
-        for i in range(L):
-            w = take((sizes[i + 1], sizes[i]))
-            b = take((sizes[i + 1],))
-            q_layers.append(BeliefLayer(w, b))
-        model = BihmModel(sizes, prior, tuple(p_layers), tuple(q_layers))
+        model = BihmModel.from_params(sizes, params)
     except ValueError as exc:
         raise FormatError(f"{path}: invalid model parameters: {exc}") from None
     return Checkpoint(model=model, metadata=metadata)
@@ -355,6 +328,8 @@ def read_pgm(path: str):
         except ValueError:
             raise FormatError(f"{path}: non-numeric header field {blob[start:pos]!r}") from None
     width, height, maxval = fields
+    if width < 1 or height < 1:
+        raise FormatError(f"{path}: image dimensions must be positive, got {width}x{height}")
     if maxval != 255:
         raise FormatError(f"{path}: unsupported maxval {maxval}, expected 255")
     pos += 1  # single whitespace byte after maxval

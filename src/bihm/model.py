@@ -21,6 +21,7 @@ work should be derived with ``Generator.spawn``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -145,6 +146,60 @@ class LatentConfig:
         return len(self.layers)
 
 
+def param_layout(layer_sizes) -> list:
+    """``(name, shape)`` of every parameter array, in the one fixed order.
+
+    Prior biases first, then the p stack from the top layer down, then the q
+    stack from the bottom up.  A model, its gradients, the Adam moments and
+    the checkpoint payload each store their parameters as one contiguous
+    float64 vector in this order.
+    """
+    s = [int(n) for n in layer_sizes]
+    L = len(s) - 1
+    items = [("prior.biases", (s[L],))]
+    for i in range(L - 1, -1, -1):
+        items += [(f"p{i + 1}.weights", (s[i], s[i + 1])), (f"p{i + 1}.biases", (s[i],))]
+    for i in range(L):
+        items += [(f"q{i + 1}.weights", (s[i + 1], s[i])), (f"q{i + 1}.biases", (s[i + 1],))]
+    return items
+
+
+def param_count(layer_sizes) -> int:
+    """Length of the flat parameter vector for ``layer_sizes``."""
+    return sum(math.prod(shape) for _, shape in param_layout(layer_sizes))
+
+
+def param_views(params: np.ndarray, layer_sizes) -> dict:
+    """Name -> reshaped view into the flat vector ``params``, in layout order."""
+    views = {}
+    pos = 0
+    for name, shape in param_layout(layer_sizes):
+        n = math.prod(shape)
+        views[name] = params[pos : pos + n].reshape(shape)
+        pos += n
+    return views
+
+
+def _check_sizes(layer_sizes) -> tuple:
+    sizes = tuple(int(s) for s in layer_sizes)
+    if len(sizes) < 2:
+        raise ShapeError("need at least one visible and one latent layer")
+    if any(s < 1 for s in sizes):
+        raise ShapeError(f"layer sizes must be positive, got {sizes}")
+    return sizes
+
+
+def _bind(cls, **arrays):
+    """``cls`` instance holding ``arrays`` as they are, skipping validation.
+
+    For views into a parameter vector that was validated as a whole.
+    """
+    obj = object.__new__(cls)
+    for name, value in arrays.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 @dataclass(frozen=True)
 class BihmModel:
     """Full parameter set: prior over the top layer plus both layer stacks.
@@ -152,6 +207,11 @@ class BihmModel:
     ``layer_sizes`` is ``[visible, h_1, ..., h_L]``.  ``p_layers[i]`` maps
     ``h_{i+1}`` down to ``h_i`` (with ``h_0`` meaning the visibles), and
     ``q_layers[i]`` maps ``h_i`` up to ``h_{i+1}``.
+
+    All parameters live in ``params``, one contiguous float64 vector in
+    :func:`param_layout` order; ``prior`` and the layers are views into it.
+    The constructor copies the given layers' arrays into a fresh vector;
+    :meth:`from_params` wraps an existing vector.
 
     A model is immutable: inference operations never mutate it and are safe
     to run concurrently.  Training produces updated copies.
@@ -161,13 +221,11 @@ class BihmModel:
     prior: FactorizedPrior
     p_layers: tuple
     q_layers: tuple
+    params: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        sizes = tuple(int(s) for s in self.layer_sizes)
-        if len(sizes) < 2:
-            raise ShapeError("need at least one visible and one latent layer")
-        if any(s < 1 for s in sizes):
-            raise ShapeError(f"layer sizes must be positive, got {sizes}")
+        sizes = _check_sizes(self.layer_sizes)
+        prior = self.prior
         p = tuple(self.p_layers)
         q = tuple(self.q_layers)
         L = len(sizes) - 1
@@ -184,13 +242,50 @@ class BihmModel:
                     f"q layer {i + 1} has shape {q[i].out_dim}x{q[i].in_dim}, "
                     f"expected {sizes[i + 1]}x{sizes[i]}"
                 )
-        if self.prior.dim != sizes[-1]:
-            raise ShapeError(
-                f"prior has {self.prior.dim} units, top layer has {sizes[-1]}"
-            )
+        if prior.dim != sizes[-1]:
+            raise ShapeError(f"prior has {prior.dim} units, top layer has {sizes[-1]}")
+        self._adopt(sizes, np.empty(param_count(sizes)))
+        self.prior.biases[...] = prior.biases
+        for new, old in zip(self.p_layers + self.q_layers, p + q):
+            new.weights[...] = old.weights
+            new.biases[...] = old.biases
+
+    def _adopt(self, sizes: tuple, params: np.ndarray) -> None:
+        """Point ``params``, ``prior`` and both stacks at views of ``params``."""
+        views = param_views(params, sizes)
+        L = len(sizes) - 1
+
+        def layer(name):
+            w, b = views[name + ".weights"], views[name + ".biases"]
+            return _bind(BeliefLayer, weights=w, biases=b)
+
         object.__setattr__(self, "layer_sizes", sizes)
-        object.__setattr__(self, "p_layers", p)
-        object.__setattr__(self, "q_layers", q)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "prior", _bind(FactorizedPrior, biases=views["prior.biases"]))
+        object.__setattr__(self, "p_layers", tuple(layer(f"p{i}") for i in range(1, L + 1)))
+        object.__setattr__(self, "q_layers", tuple(layer(f"q{i}") for i in range(1, L + 1)))
+
+    @classmethod
+    def from_params(cls, layer_sizes, params) -> "BihmModel":
+        """Model over the flat vector ``params``, in :func:`param_layout` order.
+
+        A float64 vector is used as it is, not copied.
+        """
+        sizes = _check_sizes(layer_sizes)
+        flat = _as_float_array(params)
+        n = param_count(sizes)
+        if flat.shape != (n,):
+            raise ShapeError(f"expected a vector of {n} parameters, got shape {flat.shape}")
+        if not np.all(np.isfinite(flat)):
+            raise ValueError("model parameters must be finite")
+        return cls._from_checked(sizes, flat)
+
+    @classmethod
+    def _from_checked(cls, sizes: tuple, params: np.ndarray) -> "BihmModel":
+        """:meth:`from_params` for a vector already known to fit ``sizes`` and be finite."""
+        model = object.__new__(cls)
+        model._adopt(sizes, params)
+        return model
 
     @property
     def num_latent_layers(self) -> int:
@@ -209,41 +304,19 @@ class BihmModel:
         return sum(self.layer_sizes[1:])
 
     def param_items(self):
-        """Ordered ``(name, array)`` pairs for every parameter array.
-
-        The order is fixed and shared by checkpoints, gradients and the
-        optimizer: prior biases first, then the p stack from the top layer
-        down, then the q stack from the bottom up.
-        """
-        L = self.num_latent_layers
-        items = [("prior.biases", self.prior.biases)]
-        for i in range(L - 1, -1, -1):
-            items.append((f"p{i + 1}.weights", self.p_layers[i].weights))
-            items.append((f"p{i + 1}.biases", self.p_layers[i].biases))
-        for i in range(L):
-            items.append((f"q{i + 1}.weights", self.q_layers[i].weights))
-            items.append((f"q{i + 1}.biases", self.q_layers[i].biases))
-        return items
+        """Ordered ``(name, array)`` views of ``params``, in :func:`param_layout` order."""
+        return list(param_views(self.params, self.layer_sizes).items())
 
     def with_params(self, arrays: Sequence[np.ndarray]) -> "BihmModel":
         """New model with parameter arrays replaced, in ``param_items`` order."""
-        expected = len(self.param_items())
-        if len(arrays) != expected:
-            raise ShapeError(f"expected {expected} parameter arrays, got {len(arrays)}")
-        L = self.num_latent_layers
-        it = iter(arrays)
-        prior = FactorizedPrior(next(it))
-        p = [None] * L
-        for i in range(L - 1, -1, -1):
-            w = next(it)
-            b = next(it)
-            p[i] = BeliefLayer(w, b)
-        q = []
-        for _ in range(L):
-            w = next(it)
-            b = next(it)
-            q.append(BeliefLayer(w, b))
-        return BihmModel(self.layer_sizes, prior, tuple(p), tuple(q))
+        layout = param_layout(self.layer_sizes)
+        if len(arrays) != len(layout):
+            raise ShapeError(f"expected {len(layout)} parameter arrays, got {len(arrays)}")
+        for (name, shape), a in zip(layout, arrays):
+            if np.shape(a) != shape:
+                raise ShapeError(f"{name} has shape {np.shape(a)}, expected {shape}")
+        flat = np.concatenate([np.ravel(a) for a in arrays])
+        return BihmModel.from_params(self.layer_sizes, flat)
 
 
 @dataclass(frozen=True)
@@ -256,37 +329,26 @@ class LayerGradient:
 
 @dataclass
 class ModelGradient:
-    """Per-parameter gradient arrays mirroring a model's layout."""
+    """Gradient with respect to every parameter of a model.
 
-    d_prior_biases: np.ndarray
-    p_layers: list = field(default_factory=list)
-    q_layers: list = field(default_factory=list)
+    ``params`` is one flat vector in the :func:`param_layout` order of
+    ``layer_sizes``, the same layout as the model's own ``params``.
+    """
+
+    layer_sizes: tuple
+    params: np.ndarray
 
     @classmethod
     def zeros_for(cls, model: BihmModel) -> "ModelGradient":
-        return cls(
-            d_prior_biases=np.zeros_like(model.prior.biases),
-            p_layers=[
-                LayerGradient(np.zeros_like(l.weights), np.zeros_like(l.biases))
-                for l in model.p_layers
-            ],
-            q_layers=[
-                LayerGradient(np.zeros_like(l.weights), np.zeros_like(l.biases))
-                for l in model.q_layers
-            ],
-        )
+        return cls(model.layer_sizes, np.zeros_like(model.params))
+
+    @property
+    def d_prior_biases(self) -> np.ndarray:
+        return param_views(self.params, self.layer_sizes)["prior.biases"]
 
     def param_items(self):
-        """Same ordering as :meth:`BihmModel.param_items`."""
-        L = len(self.p_layers)
-        items = [("prior.biases", self.d_prior_biases)]
-        for i in range(L - 1, -1, -1):
-            items.append((f"p{i + 1}.weights", self.p_layers[i].d_weights))
-            items.append((f"p{i + 1}.biases", self.p_layers[i].d_biases))
-        for i in range(L):
-            items.append((f"q{i + 1}.weights", self.q_layers[i].d_weights))
-            items.append((f"q{i + 1}.biases", self.q_layers[i].d_biases))
-        return items
+        """Same names and order as :meth:`BihmModel.param_items`."""
+        return list(param_views(self.params, self.layer_sizes).items())
 
 
 def _latent_arrays(h) -> list:
@@ -352,6 +414,34 @@ def layer_grad(layer: BeliefLayer, inputs, targets) -> LayerGradient:
         raise ShapeError("layer_grad expects single vectors; batch paths accumulate directly")
     delta = t - sigmoid(layer.activation(v))
     return LayerGradient(d_weights=np.outer(delta, v), d_biases=delta)
+
+
+def weighted_gradient(model: BihmModel, weights, x, layers) -> ModelGradient:
+    """Weighted sum of the gradients of ``log p(x, h) + log q(h | x)``.
+
+    ``weights`` has shape ``(b, k)``, ``x`` broadcasts to ``(b, k,
+    visible_dim)`` and ``layers`` holds one ``(b, k, d_l)`` array per latent
+    layer, bottom-up.  Each layer sees only its own (input, target) pair; its
+    weighted gradient is written straight into the flat gradient vector.
+    """
+    grad = ModelGradient.zeros_for(model)
+    out = param_views(grad.params, model.layer_sizes)
+    L = model.num_latent_layers
+    out["prior.biases"][...] = np.einsum(
+        "bk,bkd->d", weights, layers[L - 1] - sigmoid(model.prior.biases), optimize=True
+    )
+    for i in range(L):
+        below = x if i == 0 else layers[i - 1]
+        for name, layer, inputs, targets in (
+            (f"p{i + 1}", model.p_layers[i], layers[i], below),
+            (f"q{i + 1}", model.q_layers[i], below, layers[i]),
+        ):
+            delta = targets - sigmoid(layer.activation(inputs))
+            out[name + ".weights"][...] = np.einsum(
+                "bk,bko,bki->oi", weights, delta, inputs, optimize=True
+            )
+            out[name + ".biases"][...] = np.einsum("bk,bko->o", weights, delta, optimize=True)
+    return grad
 
 
 # ---------------------------------------------------------------------------
@@ -480,9 +570,7 @@ def random_model(
     stay well inside the unsaturated sigmoid range.  The two stacks are drawn
     independently, which makes the p and q joints genuinely different.
     """
-    sizes = [int(s) for s in layer_sizes]
-    if len(sizes) < 2 or any(s < 1 for s in sizes):
-        raise ShapeError(f"invalid layer sizes {sizes}")
+    sizes = _check_sizes(layer_sizes)
     L = len(sizes) - 1
 
     def _layer(out_dim, in_dim):
@@ -493,19 +581,10 @@ def random_model(
     p = tuple(_layer(sizes[i], sizes[i + 1]) for i in range(L))
     q = tuple(_layer(sizes[i + 1], sizes[i]) for i in range(L))
     prior = FactorizedPrior(rng.normal(0.0, bias_scale, size=sizes[-1]))
-    return BihmModel(tuple(sizes), prior, p, q)
+    return BihmModel(sizes, prior, p, q)
 
 
 def zero_model(layer_sizes: Sequence[int]) -> BihmModel:
     """Model with all parameters zero: every conditional is uniform."""
-    sizes = [int(s) for s in layer_sizes]
-    L = len(sizes) - 1
-    p = tuple(
-        BeliefLayer(np.zeros((sizes[i], sizes[i + 1])), np.zeros(sizes[i]))
-        for i in range(L)
-    )
-    q = tuple(
-        BeliefLayer(np.zeros((sizes[i + 1], sizes[i])), np.zeros(sizes[i + 1]))
-        for i in range(L)
-    )
-    return BihmModel(tuple(sizes), FactorizedPrior(np.zeros(sizes[-1])), p, q)
+    sizes = _check_sizes(layer_sizes)
+    return BihmModel.from_params(sizes, np.zeros(param_count(sizes)))

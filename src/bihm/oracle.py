@@ -26,12 +26,11 @@ from scipy.special import logsumexp
 
 from bihm.model import (
     BihmModel,
-    LayerGradient,
     ModelGradient,
     ShapeError,
     log_joint_p,
     log_q_given_x,
-    sigmoid,
+    weighted_gradient,
 )
 
 __all__ = [
@@ -212,26 +211,8 @@ def exact_grad_log_ptilde(
     layers = _split_latent(model, bit_matrix(n))
     half = 0.5 * (log_joint_p(model, xs, layers) + log_q_given_x(model, xs, layers))
     gamma = np.exp(half - logsumexp(half))
-    L = model.num_latent_layers
-    rows = layers[0].shape[0]
-    x_rows = np.broadcast_to(xs, (rows, xs.shape[0]))
-
-    def weighted(layer, inputs, targets):
-        delta = targets - sigmoid(layer.activation(inputs))
-        d_w = np.einsum("k,ko,ki->oi", gamma, delta, inputs)
-        d_b = gamma @ delta
-        return LayerGradient(d_w, d_b)
-
-    d_prior = gamma @ (layers[L - 1] - sigmoid(model.prior.biases))
-    p_grads = []
-    for i in range(L):
-        targets = x_rows if i == 0 else layers[i - 1]
-        p_grads.append(weighted(model.p_layers[i], layers[i], targets))
-    q_grads = []
-    for i in range(L):
-        inputs = x_rows if i == 0 else layers[i - 1]
-        q_grads.append(weighted(model.q_layers[i], inputs, layers[i]))
-    return ModelGradient(d_prior_biases=d_prior, p_layers=p_grads, q_layers=q_grads)
+    x_rows = np.broadcast_to(xs, (1, gamma.shape[0], xs.shape[0]))
+    return weighted_gradient(model, gamma[None, :], x_rows, [h[None] for h in layers])
 
 
 # ---------------------------------------------------------------------------

@@ -26,13 +26,13 @@ import numpy as np
 from bihm.estimators import ZEstimateConfig, est_log_z2
 from bihm.model import (
     BihmModel,
-    LayerGradient,
     ModelGradient,
     ShapeError,
     log_joint_p,
     log_q_given_x,
+    param_views,
     sample_q_rows,
-    sigmoid,
+    weighted_gradient,
     zero_model,
 )
 
@@ -84,20 +84,15 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    """Running first/second moments, one array per parameter in model order."""
+    """Running first/second moments, flat vectors in the model's parameter order."""
 
-    first_moment: list
-    second_moment: list
+    first_moment: np.ndarray
+    second_moment: np.ndarray
     step_count: int = 0
 
     @classmethod
     def zeros_for(cls, model: BihmModel) -> "AdamState":
-        shapes = [a for _, a in model.param_items()]
-        return cls(
-            first_moment=[np.zeros_like(a) for a in shapes],
-            second_moment=[np.zeros_like(a) for a in shapes],
-            step_count=0,
-        )
+        return cls(np.zeros_like(model.params), np.zeros_like(model.params), 0)
 
 
 def init_model(layer_sizes: Sequence[int], seed: int) -> BihmModel:
@@ -107,17 +102,16 @@ def init_model(layer_sizes: Sequence[int], seed: int) -> BihmModel:
     -1 biases start every unit mildly off, which keeps early samples sparse.
     Deterministic given ``seed``.
     """
-    base = zero_model(layer_sizes)
+    model = zero_model(layer_sizes)
     rng = np.random.default_rng(seed)
-    arrays = []
-    for name, a in base.param_items():
+    for name, a in model.param_items():
         if name.endswith(".weights"):
             fan_out, fan_in = a.shape
             bound = np.sqrt(6.0 / (fan_in + fan_out))
-            arrays.append(rng.uniform(-bound, bound, size=a.shape))
+            a[...] = rng.uniform(-bound, bound, size=a.shape)
         else:
-            arrays.append(np.full_like(a, -1.0))
-    return base.with_params(arrays)
+            a[...] = -1.0
+    return model
 
 
 def minibatch_gradient(
@@ -141,27 +135,7 @@ def minibatch_gradient(
     w = np.exp(lw - lw.max(axis=1, keepdims=True))
     w /= w.sum(axis=1, keepdims=True)
     w /= b
-
-    L = model.num_latent_layers
-
-    def weighted(layer, inputs, targets):
-        delta = targets - sigmoid(layer.activation(inputs))
-        d_w = np.einsum("bk,bko,bki->oi", w, delta, inputs, optimize=True)
-        d_b = np.einsum("bk,bko->o", w, delta, optimize=True)
-        return LayerGradient(d_w, d_b)
-
-    d_prior = np.einsum(
-        "bk,bkd->d", w, layers[L - 1] - sigmoid(model.prior.biases), optimize=True
-    )
-    p_grads = []
-    for i in range(L):
-        targets = x_exp if i == 0 else layers[i - 1]
-        p_grads.append(weighted(model.p_layers[i], layers[i], targets))
-    q_grads = []
-    for i in range(L):
-        inputs = x_exp if i == 0 else layers[i - 1]
-        q_grads.append(weighted(model.q_layers[i], inputs, layers[i]))
-    return ModelGradient(d_prior_biases=d_prior, p_layers=p_grads, q_layers=q_grads)
+    return weighted_gradient(model, w, x_exp, layers)
 
 
 def adam_update(
@@ -174,34 +148,28 @@ def adam_update(
     ``(new_model, new_state)``; inputs are untouched.  Raises
     :class:`TrainingDiverged` if the step produces non-finite values.
     """
+    if gradient.layer_sizes != model.layer_sizes:
+        raise ShapeError(
+            f"gradient for layer sizes {gradient.layer_sizes} does not match "
+            f"the model's {model.layer_sizes}"
+        )
     t = state.step_count + 1
     b1, b2 = config.adam_beta1, config.adam_beta2
+    g = gradient.params
+    m = b1 * state.first_moment + (1.0 - b1) * g
+    v = b2 * state.second_moment + (1.0 - b2) * (g * g)
     corr1 = 1.0 - b1**t
     corr2 = 1.0 - b2**t
-    new_params = []
-    new_m = []
-    new_v = []
-    items = model.param_items()
-    grads = gradient.param_items()
-    if len(items) != len(grads):
-        raise ShapeError("gradient layout does not match the model")
-    for (name, theta), (_, g), m, v in zip(
-        items, grads, state.first_moment, state.second_moment
-    ):
-        if g.shape != theta.shape:
-            raise ShapeError(f"gradient for {name} has shape {g.shape}, expected {theta.shape}")
-        m = b1 * m + (1.0 - b1) * g
-        v = b2 * v + (1.0 - b2) * (g * g)
-        step = config.learning_rate * (m / corr1) / (np.sqrt(v / corr2) + config.adam_eps)
-        theta = theta + step
-        if not np.all(np.isfinite(theta)):
-            raise TrainingDiverged(f"non-finite values in {name} after the Adam step")
-        if name.endswith(".weights") and config.l1_lambda > 0:
-            theta = theta - config.learning_rate * config.l1_lambda * np.sign(theta)
-        new_params.append(theta)
-        new_m.append(m)
-        new_v.append(v)
-    return model.with_params(new_params), AdamState(new_m, new_v, t)
+    step = config.learning_rate * (m / corr1) / (np.sqrt(v / corr2) + config.adam_eps)
+    theta = model.params + step
+    if not np.all(np.isfinite(theta)):
+        raise TrainingDiverged("non-finite parameters after the Adam step")
+    if config.l1_lambda > 0:
+        shrink = config.learning_rate * config.l1_lambda
+        for name, w in param_views(theta, model.layer_sizes).items():
+            if name.endswith(".weights"):
+                w -= shrink * np.sign(w)
+    return BihmModel._from_checked(model.layer_sizes, theta), AdamState(m, v, t)
 
 
 def _eval_rows(model, xs, k, rng, max_floats=2**22):
@@ -224,6 +192,17 @@ def _eval_rows(model, xs, k, rng, max_floats=2**22):
         s2 = np.einsum("bk,bk->b", u, u)
         ess_total += np.sum(s1 * s1 / s2)
     return total / n, 100.0 * ess_total / (n * k)
+
+
+def _binary_rows(model: BihmModel, data, what: str) -> np.ndarray:
+    x = np.asarray(data, dtype=np.float64)
+    if x.ndim != 2 or x.shape[0] == 0:
+        raise ShapeError(f"{what} must be a nonempty 2-D array, got {x.shape}")
+    if x.shape[1] != model.visible_dim:
+        raise ShapeError(f"{what} has {x.shape[1]} columns, model expects {model.visible_dim}")
+    if not np.all((x == 0.0) | (x == 1.0)):
+        raise ValueError(f"{what} entries must be 0 or 1")
+    return x
 
 
 def train(
@@ -250,20 +229,8 @@ def train(
     Raises :class:`TrainingDiverged` if any parameter leaves the finite
     range; the message pinpoints the epoch and update.
     """
-    x = np.asarray(dataset, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] == 0:
-        raise ShapeError(f"dataset must be a nonempty 2-D array, got {x.shape}")
-    if x.shape[1] != model.visible_dim:
-        raise ShapeError(
-            f"dataset has {x.shape[1]} columns, model expects {model.visible_dim}"
-        )
-    if not np.all((x == 0.0) | (x == 1.0)):
-        raise ValueError("dataset entries must be 0 or 1")
-    valid_x = None
-    if valid is not None:
-        valid_x = np.asarray(valid, dtype=np.float64)
-        if valid_x.ndim != 2 or valid_x.shape[1] != model.visible_dim:
-            raise ShapeError("validation set does not match the model's visible layer")
+    x = _binary_rows(model, dataset, "dataset")
+    valid_x = None if valid is None else _binary_rows(model, valid, "validation set")
 
     root = np.random.default_rng(config.seed)
     # One substream per purpose, split up front: reordering evaluation work

@@ -1,5 +1,6 @@
 """End-to-end command-line coverage driven through main(argv)."""
 
+import math
 import os
 import re
 import struct
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from bihm.cli import main
+from bihm.estimators import ZEstimateConfig, est_log_ptilde_rows, est_log_z2
 from bihm.io import load_checkpoint, load_dataset, read_pgm, save_checkpoint, save_dataset, write_pgm
 from bihm.model import zero_model
 from conftest import bars_rows
@@ -159,6 +161,29 @@ class TestEvalCommand:
             r"rows=20 k=200 log_z2=-?\d+\.\d{6}\n",
             out,
         )
+
+    def test_pstar_se_counts_the_shared_z_error_once(self, workdir, capsys):
+        # Every row subtracts the same log Z^2 estimate, so its standard
+        # error enters the mean once instead of averaging down over rows.
+        rc = main(
+            [
+                "eval",
+                "--model", str(workdir / "model.bihm"),
+                "--data", str(workdir / "bars_valid.bbm"),
+                "--k", "50",
+                "--z-outer", "500",
+                "--seed", "3",
+            ]
+        )
+        out = capsys.readouterr().out
+        assert rc == 0
+        model = load_checkpoint(str(workdir / "model.bihm")).model
+        data = load_dataset(str(workdir / "bars_valid.bbm")).data
+        rng = np.random.default_rng(3)
+        values, ses = est_log_ptilde_rows(model, data, 50, rng)
+        z = est_log_z2(model, ZEstimateConfig(500, 1), rng)
+        se = math.sqrt(np.sum(ses**2) / len(ses) ** 2 + z.std_error**2)
+        assert f" mean={float((values - z.value).mean()):.6f} se={se:.6f} " in out
 
     @pytest.mark.parametrize("estimator", ["ptilde", "p"])
     def test_direct_estimators(self, workdir, capsys, estimator):

@@ -6,6 +6,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
 from bihm.io import (
@@ -25,7 +27,7 @@ from bihm.io import (
     save_dataset,
     write_pgm,
 )
-from bihm.model import random_model, zero_model
+from bihm.model import param_count, random_model, zero_model
 from bihm.training import init_model
 
 
@@ -302,6 +304,23 @@ class TestCheckpoints:
         with pytest.raises(FormatError, match="JSON object"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize(
+        "meta", [b"[" * 100_000 + b"]" * 100_000, b'{"a": ' + b"9" * 5000 + b"}"]
+    )
+    def test_pathological_metadata(self, tmp_path, meta):
+        # Too deep for the JSON parser's recursion, or an integer over
+        # Python's digit limit: both must surface as format errors.
+        path = str(tmp_path / "meta_deep.ckpt")
+        with open(path, "wb") as fh:
+            fh.write(b"BIHMMODL")
+            fh.write(struct.pack("<II", 1, 1))
+            fh.write(struct.pack("<II", 2, 1))
+            fh.write(struct.pack("<I", len(meta)))
+            fh.write(meta)
+            fh.write(b"\x00" * 64)
+        with pytest.raises(FormatError, match="metadata"):
+            load_checkpoint(path)
+
     def test_non_finite_parameters_rejected(self, tmp_path):
         path = str(tmp_path / "inf.ckpt")
         save_checkpoint(zero_model([2, 1]), {}, path)
@@ -384,6 +403,14 @@ class TestPgm:
         with pytest.raises(SizeMismatchError):
             read_pgm(path)
 
+    def test_nonpositive_dimensions(self, tmp_path):
+        path = str(tmp_path / "negative.pgm")
+        for header, pixels in ((b"P5\n-4 -4\n255\n", 16), (b"P5\n0 3\n255\n", 0)):
+            with open(path, "wb") as fh:
+                fh.write(header + bytes(pixels))
+            with pytest.raises(FormatError, match="dimensions"):
+                read_pgm(path)
+
     def test_pil_reads_our_output(self, tmp_path):
         Image = pytest.importorskip("PIL.Image")
         path = str(tmp_path / "pil.pgm")
@@ -449,3 +476,53 @@ class TestMetricsCsv:
         lines = path.read_text().splitlines()
         assert len(lines) == 3
         assert lines[0] == METRICS_HEADER
+
+
+class TestLoadersAreTotal:
+    """Byte flips and truncations of valid files: a complete object or a FormatError."""
+
+    @staticmethod
+    def valid_files():
+        model = init_model((6, 4, 3), seed=160)
+        data = (np.random.default_rng(161).random((7, 11)) < 0.5).astype(np.float64)
+        return {
+            ".bihm": (lambda path: save_checkpoint(model, {"seed": 160, "note": "fuzz"}, path)),
+            ".bbm": (lambda path: save_dataset(data, path)),
+            ".pgm": (lambda path: write_pgm(np.linspace(0.0, 1.0, 12), 4, 3, path)),
+        }
+
+    @staticmethod
+    def check_complete(ext, path):
+        if ext == ".bihm":
+            model = load_checkpoint(path).model
+            assert model.params.shape == (param_count(model.layer_sizes),)
+            assert np.all(np.isfinite(model.params))
+        elif ext == ".bbm":
+            data = load_dataset(path).data
+            assert data.ndim == 2 and np.all((data == 0.0) | (data == 1.0))
+        else:
+            values, width, height = read_pgm(path)
+            assert width >= 1 and height >= 1 and values.shape == (width * height,)
+            assert np.all((values >= 0.0) & (values <= 1.0))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        ext=st.sampled_from([".bihm", ".bbm", ".pgm"]),
+        flips=st.lists(st.tuples(st.integers(0, 10**6), st.integers(1, 255)), max_size=4),
+        cut=st.one_of(st.none(), st.integers(0, 10**6)),
+    )
+    def test_mutated_files(self, tmp_path_factory, ext, flips, cut):
+        path = str(tmp_path_factory.mktemp("fuzz") / ("file" + ext))
+        self.valid_files()[ext](path)
+        with open(path, "rb") as fh:
+            blob = bytearray(fh.read())
+        for pos, mask in flips:
+            blob[pos % len(blob)] ^= mask
+        if cut is not None:
+            blob = blob[: cut % (len(blob) + 1)]
+        with open(path, "wb") as fh:
+            fh.write(blob)
+        try:
+            self.check_complete(ext, path)
+        except FormatError:
+            pass

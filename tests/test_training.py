@@ -13,6 +13,7 @@ from bihm.model import (
     layer_grad,
     log_joint_p,
     log_q_given_x,
+    param_views,
     random_model,
     sample_q_rows,
     zero_model,
@@ -186,6 +187,30 @@ class TestMinibatchGradient:
             minibatch_gradient(model, np.zeros((0, 3)), 2, np.random.default_rng(0))
 
 
+def reference_adam_update(model, moments, gradient, step_count, config):
+    """Adam plus the L1 shrink applied one parameter array at a time.
+
+    ``moments`` is a list of ``(m, v)`` array pairs in ``param_items`` order.
+    Returns the new arrays and moments; the flat ``adam_update`` must match
+    it bit for bit.
+    """
+    t = step_count + 1
+    b1, b2 = config.adam_beta1, config.adam_beta2
+    corr1 = 1.0 - b1**t
+    corr2 = 1.0 - b2**t
+    arrays, new_moments = [], []
+    for (name, theta), (_, g), (m, v) in zip(model.param_items(), gradient.param_items(), moments):
+        m = b1 * m + (1.0 - b1) * g
+        v = b2 * v + (1.0 - b2) * (g * g)
+        step = config.learning_rate * (m / corr1) / (np.sqrt(v / corr2) + config.adam_eps)
+        theta = theta + step
+        if name.endswith(".weights") and config.l1_lambda > 0:
+            theta = theta - config.learning_rate * config.l1_lambda * np.sign(theta)
+        arrays.append(theta)
+        new_moments.append((m, v))
+    return arrays, new_moments
+
+
 class TestAdamUpdate:
     @staticmethod
     def constant_gradient(model, rng):
@@ -193,6 +218,28 @@ class TestAdamUpdate:
         for _, a in grad.param_items():
             a[...] = rng.choice([-0.7, -0.2, 0.3, 0.9], size=a.shape)
         return grad
+
+    def test_matches_per_array_reference_bit_for_bit(self):
+        model = random_model([5, 4, 3], np.random.default_rng(89))
+        config = TrainConfig(learning_rate=0.02, l1_lambda=0.05)
+        rng = np.random.default_rng(90)
+        state = AdamState.zeros_for(model)
+        ref_model = model
+        ref_moments = [(np.zeros_like(a), np.zeros_like(a)) for _, a in model.param_items()]
+        for step in range(6):
+            grad = ModelGradient.zeros_for(model)
+            grad.params[...] = rng.normal(size=grad.params.shape)
+            model, state = adam_update(model, state, grad, config)
+            arrays, ref_moments = reference_adam_update(ref_model, ref_moments, grad, step, config)
+            ref_model = ref_model.with_params(arrays)
+            assert state.step_count == step + 1
+            for (_, a), (_, b) in zip(model.param_items(), ref_model.param_items()):
+                assert_array_equal(a, b)
+            m_views = param_views(state.first_moment, model.layer_sizes).values()
+            v_views = param_views(state.second_moment, model.layer_sizes).values()
+            for m, v, (m_ref, v_ref) in zip(m_views, v_views, ref_moments):
+                assert_array_equal(m, m_ref)
+                assert_array_equal(v, v_ref)
 
     def test_first_step_is_signed_learning_rate(self):
         model = random_model([3, 2], np.random.default_rng(80))
@@ -339,6 +386,8 @@ class TestTrain:
             train(model, np.full((5, 4), 0.5), config)
         with pytest.raises(ShapeError):
             train(model, np.zeros((5, 4)), config, valid=np.zeros((2, 3)))
+        with pytest.raises(ValueError, match="0 or 1"):
+            train(model, np.zeros((5, 4)), config, valid=np.full((2, 4), 0.5))
 
     def test_callbacks_see_each_epoch(self):
         model = init_model((4, 3), seed=0)
