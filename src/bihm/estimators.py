@@ -27,21 +27,11 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from scipy.special import logsumexp
 
-from bihm.model import (
-    BihmModel,
-    LatentConfig,
-    ShapeError,
-    log_joint_p,
-    log_q_given_x,
-    sample_p_batch,
-    sample_q_batch,
-    sample_q_rows,
-)
+from bihm.model import BihmModel, LatentConfig, ShapeError, p_pass, q_pass
 
 __all__ = [
     "EstimateWithError",
@@ -60,6 +50,9 @@ __all__ = [
     "ess",
     "ess_pct",
 ]
+
+# Float budget of the sample arrays of one block of rows (or outer samples).
+_BLOCK_FLOATS = 2**22
 
 
 @dataclass(frozen=True)
@@ -132,7 +125,7 @@ def _stacked_layers(model: BihmModel, samples) -> list:
         L = model.num_latent_layers
         if any(len(s) != L for s in seq):
             raise ShapeError(f"every sample must have {L} layers")
-        return [
+        seq = [
             np.stack([s.layers[i] for s in seq]).astype(np.float64)
             for i in range(L)
         ]
@@ -142,14 +135,34 @@ def _stacked_layers(model: BihmModel, samples) -> list:
             "samples must be a list of latent configurations or one "
             "(K, d_l) array per latent layer"
         )
+    widths = tuple(a.shape[1] for a in arrays)
+    if widths != model.latent_sizes:
+        raise ShapeError(f"latent layer widths {widths} do not match {model.latent_sizes}")
     return arrays
 
 
-def log_importance_weights(model: BihmModel, x, layer_arrays: Sequence[np.ndarray]) -> np.ndarray:
-    """``(log p(x,h) - log q(h|x)) / 2`` for stacked samples, shape ``(K,)``."""
-    lp = log_joint_p(model, x, layer_arrays)
-    lq = log_q_given_x(model, x, layer_arrays)
-    return 0.5 * (lp - lq)
+def _checked_vector(model: BihmModel, x) -> np.ndarray:
+    xs = np.asarray(x, dtype=np.float64)
+    if xs.shape != (model.visible_dim,):
+        raise ShapeError(f"x must be a length-{model.visible_dim} vector, got shape {xs.shape}")
+    return xs
+
+
+def log_weights(model: BihmModel, x, layers=None, k: int = 1, rng=None, keep_means=False):
+    """Half log-ratios ``(log p(x,h) - log q(h|x)) / 2`` of samples ``h ~ q(. | x)``.
+
+    Draws ``k`` samples per visible vector when ``layers`` is None (shapes as
+    in :func:`bihm.model.q_pass`), and otherwise weighs the given layers,
+    which broadcast against ``x``.  Returns ``(log_w, p, q)``: the weights and
+    the two passes behind them.
+    """
+    q = q_pass(model, x, layers, k=k, rng=rng, keep_means=keep_means)
+    p = p_pass(model, x[..., None, :] if layers is None else x, q.layers, keep_means=keep_means)
+    return 0.5 * (p.log_prob - q.log_prob), p, q
+
+
+def _weighted_set(layers, log_w) -> WeightedSampleSet:
+    return WeightedSampleSet(tuple(layers), log_w, log_w - logsumexp(log_w))
 
 
 def importance_weights(model: BihmModel, x, samples) -> WeightedSampleSet:
@@ -159,16 +172,15 @@ def importance_weights(model: BihmModel, x, samples) -> WeightedSampleSet:
     one stacked ``(K, d_l)`` array per layer).  Deterministic given inputs.
     """
     layers = _stacked_layers(model, samples)
-    log_w = log_importance_weights(model, np.asarray(x, dtype=np.float64), layers)
-    log_w_normalized = log_w - logsumexp(log_w)
-    return WeightedSampleSet(tuple(layers), log_w, log_w_normalized)
+    return _weighted_set(layers, log_weights(model, _checked_vector(model, x), layers)[0])
 
 
 def draw_weighted_samples(model: BihmModel, x, k: int, rng: np.random.Generator) -> WeightedSampleSet:
     """Draw ``k`` samples from ``q(h | x)`` and weight them."""
     if k < 1:
         raise ValueError("k must be positive")
-    return importance_weights(model, x, sample_q_batch(model, x, k, rng))
+    log_w, _, q = log_weights(model, _checked_vector(model, x), k=k, rng=rng)
+    return _weighted_set(q.layers, log_w)
 
 
 # ---------------------------------------------------------------------------
@@ -177,28 +189,47 @@ def draw_weighted_samples(model: BihmModel, x, k: int, rng: np.random.Generator)
 
 
 def _log_mean_se(log_terms: np.ndarray):
-    """log of mean(exp(log_terms)) and the delta-method SE of that log.
+    """Log of the mean of ``exp(log_terms)`` over the last axis, with SE and ESS.
 
-    SE(log m) ~ SE(m) / m, computed as std(u)/ (sqrt(K) mean(u)) on the
-    max-shifted terms u, which is invariant to the shift.
+    Each row is shifted by its own maximum.  The delta-method SE of the log
+    is ``SE(m) / m``, computed as ``std(u) / (sqrt(K) mean(u))`` on the
+    shifted terms ``u``, which is invariant to the shift; the effective
+    sample size is ``(sum u)^2 / sum u^2``.  Returns three arrays of the
+    leading shape.
     """
+    k = log_terms.shape[-1]
+    m = log_terms.max(axis=-1, keepdims=True)
+    u = np.exp(log_terms - m)
+    total = u.sum(axis=-1)
+    mean_u = total / k
+    values = m[..., 0] + np.log(mean_u)
+    if k < 2:
+        ses = np.zeros_like(values)
+    else:
+        ses = u.std(axis=-1, ddof=1) / (np.sqrt(k) * mean_u)
+    return values, ses, total * total / np.einsum("...k,...k->...", u, u)
+
+
+def _checked_log_terms(log_terms, what: str) -> np.ndarray:
     lt = np.asarray(log_terms, dtype=np.float64)
     if lt.ndim != 1 or lt.size == 0:
-        raise ValueError("log terms must be a nonempty vector")
+        raise ValueError(f"{what} must be a nonempty vector")
     if np.any(np.isnan(lt)) or np.any(lt == np.inf):
-        raise ValueError("log terms must be < inf and not NaN")
-    k = lt.shape[0]
-    m = np.max(lt)
-    if not np.isfinite(m):
+        raise ValueError(f"{what} must be < inf and not NaN")
+    return lt
+
+
+def _vector_log_mean_se(log_terms):
+    """:func:`_log_mean_se` of one validated vector, as floats.
+
+    If every term is -inf the log-mean is -inf, with a warning.
+    """
+    lt = _checked_log_terms(log_terms, "log terms")
+    if not np.isfinite(lt.max()):
         warnings.warn("all terms are zero; log-mean is -inf", RuntimeWarning)
         return -np.inf, 0.0
-    u = np.exp(lt - m)
-    mean_u = u.mean()
-    value = m + np.log(mean_u)
-    if k < 2:
-        return value, 0.0
-    se = u.std(ddof=1) / (np.sqrt(k) * mean_u)
-    return value, float(se)
+    value, se, _ = _log_mean_se(lt)
+    return float(value), float(se)
 
 
 def log_ptilde_from_weights(log_w: np.ndarray) -> EstimateWithError:
@@ -206,7 +237,7 @@ def log_ptilde_from_weights(log_w: np.ndarray) -> EstimateWithError:
 
     Twice the log of the mean weight; squaring doubles the delta-method SE.
     """
-    value, se = _log_mean_se(log_w)
+    value, se = _vector_log_mean_se(log_w)
     return EstimateWithError(2.0 * value, 2.0 * se, np.asarray(log_w).shape[0])
 
 
@@ -217,7 +248,7 @@ def log_p_from_weights(log_w: np.ndarray) -> EstimateWithError:
     (power-mean inequality on the same samples).
     """
     lw = np.asarray(log_w, dtype=np.float64)
-    value, se = _log_mean_se(2.0 * lw)
+    value, se = _vector_log_mean_se(2.0 * lw)
     return EstimateWithError(value, se, lw.shape[0])
 
 
@@ -241,31 +272,25 @@ def est_log_z2(model: BihmModel, config: ZEstimateConfig, rng: np.random.Generat
     error of the linear-domain mean, computed over per-outer-sample means so
     inner correlation is accounted for.  The log of an unbiased estimate
     underestimates ``log Z^2`` on average.
+
+    Outer samples are drawn and scored in blocks whose sample arrays stay
+    under ``_BLOCK_FLOATS`` floats, so memory is bounded whatever
+    ``k_outer``; blocks merge through the per-outer-sample log-means.
     """
     ko, ki = config.k_outer, config.k_inner
-    x_outer, h_outer = sample_p_batch(model, ko, rng)
-    lp_outer = log_joint_p(model, x_outer, h_outer)
-    lq_outer = log_q_given_x(model, x_outer, h_outer)
-    h_inner = sample_q_rows(model, x_outer, ki, rng)
-    x_exp = x_outer[:, None, :]
-    lp_inner = log_joint_p(model, x_exp, h_inner)
-    lq_inner = log_q_given_x(model, x_exp, h_inner)
-    # Grouped as differences of like terms: when p = q the ratio is exactly 1
-    # and the estimate is exactly zero.
-    log_terms = 0.5 * ((lp_inner - lp_outer[:, None]) + (lq_outer[:, None] - lq_inner))
 
-    m = np.max(log_terms)
-    if not np.isfinite(m):
-        warnings.warn("all normalizer terms are zero", RuntimeWarning)
-        return EstimateWithError(-np.inf, 0.0, ko * ki)
-    u = np.exp(log_terms - m)
-    per_outer = u.mean(axis=1)
-    grand = per_outer.mean()
-    value = float(m + np.log(grand))
-    if ko < 2:
-        se = 0.0
-    else:
-        se = float(per_outer.std(ddof=1) / (np.sqrt(ko) * grand))
+    def log_terms(start, stop):
+        outer = p_pass(model, k=stop - start, rng=rng)
+        lq_outer = q_pass(model, outer.x, outer.layers).log_prob
+        _, p_inner, q_inner = log_weights(model, outer.x, k=ki, rng=rng)
+        # Grouped as differences of like terms: when p = q the ratio is exactly 1
+        # and the estimate is exactly zero.
+        return 0.5 * (
+            (p_inner.log_prob - outer.log_prob[:, None]) + (lq_outer[:, None] - q_inner.log_prob)
+        )
+
+    per_outer = _blocked_rows(model, ko, ki, _BLOCK_FLOATS, log_terms)[0]
+    value, se = _vector_log_mean_se(per_outer)
     return EstimateWithError(value, se, ko * ki)
 
 
@@ -290,52 +315,50 @@ def est_log_pstar(model: BihmModel, x, k: int, log_z2, rng: np.random.Generator)
 # ---------------------------------------------------------------------------
 
 
-def _row_block_size(model: BihmModel, k: int, max_floats: int) -> int:
+def _blocked_rows(model: BihmModel, n: int, k: int, max_floats: int, log_terms):
+    """Row-wise :func:`_log_mean_se` of ``n`` rows of ``k`` log terms, block by block.
+
+    ``log_terms(start, stop)`` returns the ``(stop - start, k)`` terms of
+    those rows.  A block holds at most ``max_floats // (k * (visible +
+    latent bits))`` rows, so its sample arrays stay under ``max_floats``
+    float64 entries.  Returns ``(values, std_errors, ess)`` of length ``n``.
+    """
     per_row = k * (model.visible_dim + model.num_latent_bits)
-    return max(1, max_floats // max(per_row, 1))
+    block = max(1, max_floats // max(per_row, 1))
+    out = np.empty((3, n))
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        out[:, start:stop] = _log_mean_se(log_terms(start, stop))
+    return out
 
 
-def _rows_log_mean_se(log_terms: np.ndarray):
-    """Row-wise version of :func:`_log_mean_se` for a (rows, K) matrix."""
-    m = log_terms.max(axis=1)
-    u = np.exp(log_terms - m[:, None])
-    mean_u = u.mean(axis=1)
-    values = m + np.log(mean_u)
-    k = log_terms.shape[1]
-    if k < 2:
-        ses = np.zeros_like(values)
-    else:
-        ses = u.std(axis=1, ddof=1) / (np.sqrt(k) * mean_u)
-    return values, ses
+def estimate_rows(
+    model: BihmModel, xs, k: int, rng, squared=False, max_floats: int = _BLOCK_FLOATS
+):
+    """Per-row ``log ptilde`` estimates (``log p`` if ``squared``), SEs and ESS.
 
-
-def _est_rows(model: BihmModel, xs, k, rng, double_log_w: bool, max_floats: int):
+    The row-batched core behind :func:`est_log_ptilde_rows`,
+    :func:`est_log_p_rows` and the training epoch evaluation.  ``ess`` is
+    that of the weights ``exp(log_w)``, or of their squares if ``squared``.
+    """
     x = np.asarray(xs, dtype=np.float64)
     if x.ndim != 2:
         raise ShapeError(f"expected a 2-D dataset array, got shape {x.shape}")
-    n = x.shape[0]
-    values = np.empty(n)
-    ses = np.empty(n)
-    block = _row_block_size(model, k, max_floats)
-    for start in range(0, n, block):
-        rows = x[start : start + block]
-        layers = sample_q_rows(model, rows, k, rng)
-        lw = 0.5 * (
-            log_joint_p(model, rows[:, None, :], layers)
-            - log_q_given_x(model, rows[:, None, :], layers)
-        )
-        if double_log_w:
-            v, s = _rows_log_mean_se(2.0 * lw)
-        else:
-            v, s = _rows_log_mean_se(lw)
-            v, s = 2.0 * v, 2.0 * s
-        values[start : start + block] = v
-        ses[start : start + block] = s
-    return values, ses
+    if x.shape[1] != model.visible_dim:
+        raise ShapeError(f"dataset has {x.shape[1]} columns, model expects {model.visible_dim}")
+
+    def log_terms(start, stop):
+        log_w = log_weights(model, x[start:stop], k=k, rng=rng)[0]
+        return 2.0 * log_w if squared else log_w
+
+    values, ses, ess_rows = _blocked_rows(model, x.shape[0], k, max_floats, log_terms)
+    if not squared:
+        values, ses = 2.0 * values, 2.0 * ses
+    return values, ses, ess_rows
 
 
 def est_log_ptilde_rows(
-    model: BihmModel, xs, k: int, rng: np.random.Generator, max_floats: int = 2**22
+    model: BihmModel, xs, k: int, rng: np.random.Generator, max_floats: int = _BLOCK_FLOATS
 ):
     """``est_log_ptilde`` for every row of a dataset, vectorized.
 
@@ -343,14 +366,14 @@ def est_log_ptilde_rows(
     chunked so intermediate sample arrays stay under ``max_floats`` float64
     entries.
     """
-    return _est_rows(model, xs, k, rng, double_log_w=False, max_floats=max_floats)
+    return estimate_rows(model, xs, k, rng, max_floats=max_floats)[:2]
 
 
 def est_log_p_rows(
-    model: BihmModel, xs, k: int, rng: np.random.Generator, max_floats: int = 2**22
+    model: BihmModel, xs, k: int, rng: np.random.Generator, max_floats: int = _BLOCK_FLOATS
 ):
     """``est_log_p`` for every row of a dataset, vectorized."""
-    return _est_rows(model, xs, k, rng, double_log_w=True, max_floats=max_floats)
+    return estimate_rows(model, xs, k, rng, squared=True, max_floats=max_floats)[:2]
 
 
 # ---------------------------------------------------------------------------
@@ -367,20 +390,12 @@ def ess(log_w) -> float:
     -inf) the answer is 1 with a warning: one hypothetical nonzero weight
     would dominate.
     """
-    lw = np.asarray(log_w, dtype=np.float64)
-    if lw.ndim != 1 or lw.size == 0:
-        raise ValueError("log weights must be a nonempty vector")
-    if np.any(np.isnan(lw)) or np.any(lw == np.inf):
-        raise ValueError("log weights must be < inf and not NaN")
+    lw = _checked_log_terms(log_w, "log weights")
     k = lw.shape[0]
-    m = lw.max()
-    if not np.isfinite(m):
+    if not np.isfinite(lw.max()):
         warnings.warn("all importance weights are zero; reporting ess = 1", RuntimeWarning)
         return 1.0
-    u = np.exp(lw - m)
-    s1 = u.sum()
-    s2 = u @ u
-    return float(min(max(s1 * s1 / s2, 1.0), k))
+    return float(min(max(_log_mean_se(lw)[2], 1.0), k))
 
 
 def ess_pct(log_w) -> float:

@@ -12,6 +12,13 @@ means are clamped to ``[SIGMOID_EPS, 1 - SIGMOID_EPS]`` before taking logs so
 every log-probability is finite; sampling and gradients use the unclamped
 sigmoid.  Parameters are float64 throughout.
 
+Every directed computation chains one layer step, :func:`bernoulli_step`: it
+takes the sigmoid mean of one activation, draws the layer when no target is
+given and scores the target.  :func:`q_pass` runs it bottom-up and
+:func:`p_pass` top-down, so each activation is computed once per pass; the
+log-probability and sampling functions below are shims over the step or the
+passes.
+
 Array arguments may carry leading batch axes: log-probability functions reduce
 over the last axis only, so ``layer_log_prob(layer, V, T)`` with ``V`` of shape
 ``(k, in_dim)`` returns ``k`` values.  Every stochastic operation takes an
@@ -23,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 from scipy.special import expit
@@ -57,11 +64,6 @@ def _check_last_dim(what: str, arr: np.ndarray, dim: int) -> None:
 def _check_binary(what: str, arr: np.ndarray) -> None:
     if not np.all((arr == 0.0) | (arr == 1.0)):
         raise ValueError(f"{what}: entries must be 0 or 1")
-
-
-def _bernoulli_log_prob(mu: np.ndarray, target: np.ndarray) -> np.ndarray:
-    # mu must already be clamped away from {0, 1}
-    return np.sum(target * np.log(mu) + (1.0 - target) * np.log1p(-mu), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -358,6 +360,122 @@ def _latent_arrays(h) -> list:
 
 
 # ---------------------------------------------------------------------------
+# The layer step and the two directed passes
+# ---------------------------------------------------------------------------
+
+
+def bernoulli_step(mu, targets=None, rng=None, shape=None, keep_mean=False):
+    """Draw ``targets`` from ``Bernoulli(mu)`` when none are given, then score them.
+
+    Draws have shape ``shape`` (default ``mu.shape``; ``mu`` broadcasts to
+    it).  The log-probability ``sum_i [t_i log mu_i + (1 - t_i) log(1 - mu_i)]``
+    reduces the last axis, with ``mu`` clamped to ``[SIGMOID_EPS, 1 -
+    SIGMOID_EPS]``.  Returns ``(targets, log_prob, mean)``.  With
+    ``keep_mean`` the clamp works on a copy and ``mean`` is the unclamped
+    ``mu`` that gradients need; otherwise ``mu`` is clamped in place and
+    ``mean`` is None.
+    """
+    if targets is None:
+        targets = (rng.random(mu.shape if shape is None else shape) < mu).astype(np.float64)
+    clamped = np.clip(mu, SIGMOID_EPS, 1.0 - SIGMOID_EPS, out=None if keep_mean else mu)
+    log_prob = np.sum(targets * np.log(clamped) + (1.0 - targets) * np.log1p(-clamped), axis=-1)
+    return targets, log_prob, (mu if keep_mean else None)
+
+
+class Pass(NamedTuple):
+    """What one directed pass through the model drew, scored and computed.
+
+    ``x`` holds the visibles and ``layers`` the latent layers bottom-up,
+    drawn or as given; ``log_prob`` is the summed log-probability of the
+    pass's targets.  ``means`` (None unless asked for) holds the unclamped
+    sigmoid mean of every conditional: for a q pass ``means[i]`` is that of
+    ``h_{i+1}``; for a p pass ``means[i]`` is that of ``h_i`` (``h_0 = x``)
+    and ``means[L]`` that of the prior.
+    """
+
+    x: np.ndarray
+    layers: list
+    log_prob: np.ndarray
+    means: Optional[list]
+
+
+def q_pass(model: BihmModel, x, layers=None, k: int = 1, rng=None, keep_means=False) -> Pass:
+    """Bottom-up pass through ``q(h | x)``, one activation per layer.
+
+    Scores ``layers`` when given (they broadcast against ``x``).  Otherwise
+    draws ``k`` samples per visible vector: a sample axis is inserted before
+    the last axis of ``x``, so layer ``l`` has shape ``x.shape[:-1] + (k,
+    d_l)``, and the first activation is computed once per vector rather than
+    once per sample.  Generator draws go layer by layer in row-major order.
+    """
+    below = x[..., None, :] if layers is None else x
+    drawn, means, log_q = [], [], 0.0
+    for i, layer in enumerate(model.q_layers):
+        mu = sigmoid(layer.activation(below))
+        if layers is None:
+            shape = mu.shape[:-2] + (k, mu.shape[-1]) if i == 0 else None
+            below, lq, mean = bernoulli_step(mu, None, rng, shape, keep_means)
+        else:
+            below, lq, mean = bernoulli_step(mu, layers[i], keep_mean=keep_means)
+        log_q = log_q + lq
+        drawn.append(below)
+        means.append(mean)
+    return Pass(x, drawn, log_q, means if keep_means else None)
+
+
+def p_pass(model: BihmModel, x=None, layers=None, k: int = 1, rng=None, keep_means=False) -> Pass:
+    """Top-down pass through ``p(x, h)``: the prior, then one activation per layer.
+
+    Scores the given ``x`` and ``layers`` and draws what is not given:
+    ``k`` samples from the prior when ``layers`` is None, and the visibles
+    when ``x`` is None.  Arrays broadcast against each other as given.
+    """
+    L = model.num_latent_layers
+    hs = [x] + ([None] * L if layers is None else list(layers))
+    terms, means = [None] * (L + 1), [None] * (L + 1)
+    mu = sigmoid(model.prior.biases)
+    hs[L], terms[L], means[L] = bernoulli_step(mu, hs[L], rng, (k,) + mu.shape, keep_means)
+    for i in range(L - 1, -1, -1):
+        mu = sigmoid(model.p_layers[i].activation(hs[i + 1]))
+        hs[i], terms[i], means[i] = bernoulli_step(mu, hs[i], rng, None, keep_means)
+    log_p = terms[L]
+    for term in terms[:L]:
+        log_p = log_p + term
+    return Pass(hs[0], hs[1:], log_p, means if keep_means else None)
+
+
+def weighted_gradient(model: BihmModel, weights, x, layers, p_means, q_means) -> ModelGradient:
+    """Weighted sum of the gradients of ``log p(x, h) + log q(h | x)``.
+
+    ``weights`` has shape ``(b, k)``, ``x`` broadcasts to ``(b, k,
+    visible_dim)`` and ``layers`` holds one array per latent layer, bottom-up,
+    that broadcasts to ``(b, k, d_l)``.  ``p_means`` and ``q_means`` are the
+    :class:`Pass` means of the two passes that scored them, so no activation
+    is recomputed.  Each layer sees only its own (input, target) pair; its
+    weighted gradient is written straight into the flat gradient vector.
+    """
+    grad = ModelGradient.zeros_for(model)
+    out = param_views(grad.params, model.layer_sizes)
+    L = model.num_latent_layers
+    x = np.broadcast_to(x, np.shape(weights) + (model.visible_dim,))
+    out["prior.biases"][...] = np.einsum(
+        "bk,bkd->d", weights, layers[L - 1] - p_means[L], optimize=True
+    )
+    for i in range(L):
+        below = x if i == 0 else layers[i - 1]
+        for name, inputs, targets, mean in (
+            (f"p{i + 1}", layers[i], below, p_means[i]),
+            (f"q{i + 1}", below, layers[i], q_means[i]),
+        ):
+            delta = targets - mean
+            out[name + ".weights"][...] = np.einsum(
+                "bk,bko,bki->oi", weights, delta, inputs, optimize=True
+            )
+            out[name + ".biases"][...] = np.einsum("bk,bko->o", weights, delta, optimize=True)
+    return grad
+
+
+# ---------------------------------------------------------------------------
 # Layer-level operations
 # ---------------------------------------------------------------------------
 
@@ -373,31 +491,26 @@ def layer_log_prob(layer: BeliefLayer, inputs, targets) -> np.ndarray:
     t = _as_float_array(targets)
     _check_last_dim("layer input", v, layer.in_dim)
     _check_last_dim("layer target", t, layer.out_dim)
-    mu = clamped_sigmoid(layer.activation(v))
-    return _bernoulli_log_prob(mu, t)
+    return bernoulli_step(sigmoid(layer.activation(v)), t)[1]
 
 
 def layer_sample(layer: BeliefLayer, inputs, rng: np.random.Generator) -> np.ndarray:
     """Draw each output bit independently from ``Bernoulli(sigmoid(W v + b))``."""
     v = _as_float_array(inputs)
     _check_last_dim("layer input", v, layer.in_dim)
-    mu = sigmoid(layer.activation(v))
-    return (rng.random(mu.shape) < mu).astype(np.float64)
+    return bernoulli_step(sigmoid(layer.activation(v)), rng=rng)[0]
 
 
 def prior_log_prob(prior: FactorizedPrior, h) -> np.ndarray:
     """Log-probability of ``h`` under the factorized Bernoulli prior."""
     t = _as_float_array(h)
     _check_last_dim("prior target", t, prior.dim)
-    mu = np.clip(expit(prior.biases), SIGMOID_EPS, 1.0 - SIGMOID_EPS)
-    return _bernoulli_log_prob(mu, t)
+    return bernoulli_step(sigmoid(prior.biases), t)[1]
 
 
 def prior_sample(prior: FactorizedPrior, shape, rng: np.random.Generator) -> np.ndarray:
     """Sample from the prior; ``shape`` gives the leading batch dimensions."""
-    mu = sigmoid(prior.biases)
-    full = tuple(shape) + (prior.dim,)
-    return (rng.random(full) < mu).astype(np.float64)
+    return bernoulli_step(sigmoid(prior.biases), rng=rng, shape=tuple(shape) + (prior.dim,))[0]
 
 
 def layer_grad(layer: BeliefLayer, inputs, targets) -> LayerGradient:
@@ -416,37 +529,30 @@ def layer_grad(layer: BeliefLayer, inputs, targets) -> LayerGradient:
     return LayerGradient(d_weights=np.outer(delta, v), d_biases=delta)
 
 
-def weighted_gradient(model: BihmModel, weights, x, layers) -> ModelGradient:
-    """Weighted sum of the gradients of ``log p(x, h) + log q(h | x)``.
+# ---------------------------------------------------------------------------
+# Joint log-probabilities and ancestral sampling
+# ---------------------------------------------------------------------------
 
-    ``weights`` has shape ``(b, k)``, ``x`` broadcasts to ``(b, k,
-    visible_dim)`` and ``layers`` holds one ``(b, k, d_l)`` array per latent
-    layer, bottom-up.  Each layer sees only its own (input, target) pair; its
-    weighted gradient is written straight into the flat gradient vector.
-    """
-    grad = ModelGradient.zeros_for(model)
-    out = param_views(grad.params, model.layer_sizes)
+
+def _checked_joint(model: BihmModel, x, h):
+    """``x`` and the latent layers of ``h`` as float arrays, their last dimensions checked."""
+    xs = _as_float_array(x)
+    hs = _latent_arrays(h)
     L = model.num_latent_layers
-    out["prior.biases"][...] = np.einsum(
-        "bk,bkd->d", weights, layers[L - 1] - sigmoid(model.prior.biases), optimize=True
-    )
-    for i in range(L):
-        below = x if i == 0 else layers[i - 1]
-        for name, layer, inputs, targets in (
-            (f"p{i + 1}", model.p_layers[i], layers[i], below),
-            (f"q{i + 1}", model.q_layers[i], below, layers[i]),
-        ):
-            delta = targets - sigmoid(layer.activation(inputs))
-            out[name + ".weights"][...] = np.einsum(
-                "bk,bko,bki->oi", weights, delta, inputs, optimize=True
-            )
-            out[name + ".biases"][...] = np.einsum("bk,bko->o", weights, delta, optimize=True)
-    return grad
+    if len(hs) != L:
+        raise ShapeError(f"expected {L} latent layers, got {len(hs)}")
+    _check_last_dim("visible input", xs, model.visible_dim)
+    for i, a in enumerate(hs):
+        _check_last_dim(f"latent layer {i + 1}", a, model.layer_sizes[i + 1])
+    return xs, hs
 
 
-# ---------------------------------------------------------------------------
-# Joint log-probabilities
-# ---------------------------------------------------------------------------
+def _checked_visible(model: BihmModel, x, ndim: int, what: str) -> np.ndarray:
+    xs = _as_float_array(x)
+    _check_last_dim("visible input", xs, model.visible_dim)
+    if xs.ndim != ndim:
+        raise ShapeError(f"{what}, got shape {xs.shape}")
+    return xs
 
 
 def log_joint_p(model: BihmModel, x, h) -> np.ndarray:
@@ -456,53 +562,21 @@ def log_joint_p(model: BihmModel, x, h) -> np.ndarray:
     ``h_0 = x``.  Accepts a :class:`LatentConfig` or a sequence of layer
     arrays; leading batch axes broadcast across all of them.
     """
-    xs = _as_float_array(x)
-    hs = _latent_arrays(h)
-    L = model.num_latent_layers
-    if len(hs) != L:
-        raise ShapeError(f"expected {L} latent layers, got {len(hs)}")
-    total = prior_log_prob(model.prior, hs[L - 1])
-    for i in range(L):
-        target = xs if i == 0 else hs[i - 1]
-        total = total + layer_log_prob(model.p_layers[i], hs[i], target)
-    return total
+    return p_pass(model, *_checked_joint(model, x, h)).log_prob
 
 
 def log_q_given_x(model: BihmModel, x, h) -> np.ndarray:
     """Log of the bottom-up conditional ``q(h | x)``, layer by layer upward."""
-    xs = _as_float_array(x)
-    hs = _latent_arrays(h)
-    L = model.num_latent_layers
-    if len(hs) != L:
-        raise ShapeError(f"expected {L} latent layers, got {len(hs)}")
-    total = 0.0
-    for i in range(L):
-        inputs = xs if i == 0 else hs[i - 1]
-        total = total + layer_log_prob(model.q_layers[i], inputs, hs[i])
-    return total
-
-
-# ---------------------------------------------------------------------------
-# Ancestral sampling
-# ---------------------------------------------------------------------------
+    return q_pass(model, *_checked_joint(model, x, h)).log_prob
 
 
 def sample_q_batch(model: BihmModel, x, k: int, rng: np.random.Generator) -> list:
     """Draw ``k`` latent configurations from ``q(h | x)`` for one visible ``x``.
 
-    Returns one ``(k, d_l)`` array per latent layer, bottom-up.  This is the
-    sampling path used by the estimators and by training.
+    Returns one ``(k, d_l)`` array per latent layer, bottom-up.
     """
-    xs = _as_float_array(x)
-    _check_last_dim("visible input", xs, model.visible_dim)
-    if xs.ndim != 1:
-        raise ShapeError("sample_q_batch expects a single visible vector")
-    cur = np.broadcast_to(xs, (k, xs.shape[0]))
-    layers = []
-    for layer in model.q_layers:
-        cur = layer_sample(layer, cur, rng)
-        layers.append(cur)
-    return layers
+    xs = _checked_visible(model, x, 1, "sample_q_batch expects a single visible vector")
+    return q_pass(model, xs, k=k, rng=rng).layers
 
 
 def sample_q(model: BihmModel, x, rng: np.random.Generator) -> LatentConfig:
@@ -519,16 +593,8 @@ def sample_q_rows(model: BihmModel, xs, k: int, rng: np.random.Generator) -> lis
     row-major order, so results are reproducible for a fixed generator state
     and row count.
     """
-    x = _as_float_array(xs)
-    _check_last_dim("visible input", x, model.visible_dim)
-    if x.ndim != 2:
-        raise ShapeError(f"expected a (rows, {model.visible_dim}) array, got {x.shape}")
-    cur = np.broadcast_to(x[:, None, :], (x.shape[0], k, x.shape[1]))
-    layers = []
-    for layer in model.q_layers:
-        cur = layer_sample(layer, cur, rng)
-        layers.append(cur)
-    return layers
+    x = _checked_visible(model, xs, 2, f"expected a (rows, {model.visible_dim}) array")
+    return q_pass(model, x, k=k, rng=rng).layers
 
 
 def sample_p_batch(model: BihmModel, k: int, rng: np.random.Generator):
@@ -537,13 +603,8 @@ def sample_p_batch(model: BihmModel, k: int, rng: np.random.Generator):
     Returns ``(x, layers)`` where ``x`` has shape ``(k, visible_dim)`` and
     ``layers`` lists one ``(k, d_l)`` array per latent layer, bottom-up.
     """
-    L = model.num_latent_layers
-    layers = [None] * L
-    layers[L - 1] = prior_sample(model.prior, (k,), rng)
-    for i in range(L - 2, -1, -1):
-        layers[i] = layer_sample(model.p_layers[i + 1], layers[i + 1], rng)
-    x = layer_sample(model.p_layers[0], layers[0], rng)
-    return x, layers
+    drawn = p_pass(model, k=k, rng=rng)
+    return drawn.x, drawn.layers
 
 
 def sample_p(model: BihmModel, rng: np.random.Generator):

@@ -24,14 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.special import logsumexp
 
-from bihm.model import (
-    BihmModel,
-    ModelGradient,
-    ShapeError,
-    log_joint_p,
-    log_q_given_x,
-    weighted_gradient,
-)
+from bihm.model import BihmModel, ModelGradient, ShapeError, p_pass, q_pass, weighted_gradient
 
 __all__ = [
     "EnumLimit",
@@ -121,6 +114,13 @@ def _limit(limit: Optional[EnumLimit]) -> EnumLimit:
     return limit if limit is not None else EnumLimit()
 
 
+def _log_sqrt_pq(model: BihmModel, x, layers, keep_means=False):
+    """``log sqrt(p(x,h) q(h|x))`` of the given layers, and the two passes behind it."""
+    p = p_pass(model, x, layers, keep_means=keep_means)
+    q = q_pass(model, x, layers, keep_means=keep_means)
+    return 0.5 * (p.log_prob + q.log_prob), p, q
+
+
 # ---------------------------------------------------------------------------
 # Exact marginals and normalizer
 # ---------------------------------------------------------------------------
@@ -133,8 +133,7 @@ def exact_log_ptilde(model: BihmModel, x, limit: Optional[EnumLimit] = None) -> 
     xs = np.asarray(x, dtype=np.float64)
     parts = []
     for layers in _latent_blocks(model, _BLOCK_FLOATS):
-        half = 0.5 * (log_joint_p(model, xs, layers) + log_q_given_x(model, xs, layers))
-        parts.append(logsumexp(half))
+        parts.append(logsumexp(_log_sqrt_pq(model, xs, layers)[0]))
     return float(2.0 * logsumexp(parts))
 
 
@@ -144,7 +143,7 @@ def exact_log_p(model: BihmModel, x, limit: Optional[EnumLimit] = None) -> float
     lim.check("exact_log_p", model.num_latent_bits)
     xs = np.asarray(x, dtype=np.float64)
     parts = [
-        logsumexp(log_joint_p(model, xs, layers))
+        logsumexp(p_pass(model, xs, layers).log_prob)
         for layers in _latent_blocks(model, _BLOCK_FLOATS)
     ]
     return float(logsumexp(parts))
@@ -163,11 +162,7 @@ def exact_log_ptilde_by_x(model: BihmModel, limit: Optional[EnumLimit] = None) -
         v_stop = min(v_start + vis_rows, n_vis)
         xs = bit_matrix(d0, v_start, v_stop)
         for layers in _latent_blocks(model, latent_rows):
-            expanded = [h[None, :, :] for h in layers]
-            half = 0.5 * (
-                log_joint_p(model, xs[:, None, :], expanded)
-                + log_q_given_x(model, xs[:, None, :], expanded)
-            )
+            half = _log_sqrt_pq(model, xs[:, None, :], [h[None, :, :] for h in layers])[0]
             block_lse = logsumexp(half, axis=1)
             running[v_start:v_stop] = np.logaddexp(running[v_start:v_stop], block_lse)
     return 2.0 * running
@@ -207,12 +202,10 @@ def exact_grad_log_ptilde(
     if xs.ndim != 1 or xs.shape[0] != model.visible_dim:
         raise ShapeError(f"x must be a length-{model.visible_dim} vector")
 
-    n = model.num_latent_bits
-    layers = _split_latent(model, bit_matrix(n))
-    half = 0.5 * (log_joint_p(model, xs, layers) + log_q_given_x(model, xs, layers))
+    layers = [h[None] for h in _split_latent(model, bit_matrix(model.num_latent_bits))]
+    half, p, q = _log_sqrt_pq(model, xs, layers, keep_means=True)
     gamma = np.exp(half - logsumexp(half))
-    x_rows = np.broadcast_to(xs, (1, gamma.shape[0], xs.shape[0]))
-    return weighted_gradient(model, gamma[None, :], x_rows, [h[None] for h in layers])
+    return weighted_gradient(model, gamma, xs, layers, p.means, q.means)
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +291,7 @@ def exact_conditional_pstar(model: BihmModel, clamped) -> np.ndarray:
         full[i][:, j] = bits[:, col]
     xs = full[0]
     hs = full[1:]
-    log_w = 0.5 * (log_joint_p(model, xs, hs) + log_q_given_x(model, xs, hs))
+    log_w = _log_sqrt_pq(model, xs, hs)[0]
 
     free_vis_cols = [j for (i, j) in free if i == 0]
     if free_vis_cols:

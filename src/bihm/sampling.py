@@ -44,10 +44,10 @@ from bihm.model import (
     BihmModel,
     LatentConfig,
     ShapeError,
+    bernoulli_step,
     layer_log_prob,
-    layer_sample,
-    prior_log_prob,
-    sample_p_batch,
+    p_pass,
+    q_pass,
     sigmoid,
 )
 
@@ -119,25 +119,24 @@ def _update_hidden_chains(
     d = model.layer_sizes[l]
     below = chains[l - 1]
 
+    # The proposal means are also the means that score the candidates, so
+    # only the two factors conditioned on the candidates need activations.
     if l == L:
-        mu_p = np.broadcast_to(sigmoid(model.prior.biases), (c, d))
+        mu_p = sigmoid(model.prior.biases)
     else:
         mu_p = sigmoid(model.p_layers[l].activation(chains[l + 1]))
     mu_q = sigmoid(model.q_layers[l - 1].activation(below))
     coin = rng.random((c, p, 1)) < 0.5
-    mu_mix = np.where(coin, mu_p[:, None, :], mu_q[:, None, :])
+    mu_mix = np.where(coin, mu_p[..., None, :], mu_q[:, None, :])
     cand = (rng.random((c, p, d)) < mu_mix).astype(np.float64)
 
+    lp_self = bernoulli_step(mu_p[..., None, :], cand)[1]
+    lq_self = bernoulli_step(mu_q[:, None, :], cand)[1]
     if l == L:
-        lp_self = prior_log_prob(model.prior, cand)
         lq_above = 0.0
     else:
-        above = chains[l + 1][:, None, :]
-        lp_self = layer_log_prob(model.p_layers[l], above, cand)
-        lq_above = layer_log_prob(model.q_layers[l], cand, above)
-    below_exp = below[:, None, :]
-    lp_below = layer_log_prob(model.p_layers[l - 1], cand, below_exp)
-    lq_self = layer_log_prob(model.q_layers[l - 1], below_exp, cand)
+        lq_above = layer_log_prob(model.q_layers[l], cand, chains[l + 1][:, None, :])
+    lp_below = layer_log_prob(model.p_layers[l - 1], cand, below[:, None, :])
 
     log_w = 0.5 * (lp_self + lp_below + lq_above + lq_self) - np.logaddexp(lp_self, lq_self)
     idx = _categorical_rows(log_w, rng)
@@ -167,9 +166,8 @@ def _update_visible_chains(
     if mask is not None:
         cand = np.where(mask.astype(bool), observed, cand)
 
-    h1_exp = h1[:, None, :]
-    lq = layer_log_prob(model.q_layers[0], cand, h1_exp)
-    lp = layer_log_prob(model.p_layers[0], h1_exp, cand)
+    lp = bernoulli_step(mu_x[:, None, :], cand)[1]
+    lq = layer_log_prob(model.q_layers[0], cand, h1[:, None, :])
     lpt, _ = est_log_ptilde_rows(model, cand.reshape(c * p, d0), config.ptilde_k, rng)
     log_w = 0.5 * (lpt.reshape(c, p) + lq - lp)
     idx = _categorical_rows(log_w, rng)
@@ -220,6 +218,27 @@ def gibbs_update_visible(
     return chains[0][0]
 
 
+# Chains are processed in blocks so candidate arrays (rows x proposals x dim)
+# stay within a fixed float budget regardless of the chain count.
+_CHAIN_BLOCK_FLOATS = 2**21
+
+
+def _run_chains(model, count, config, rng, init, mask=None, observed=None) -> list:
+    """Sweep ``count`` chains block by block; returns ``[X, H1, ..., HL]``.
+
+    ``init(rows)`` gives the starting ``[X, H1, ..., HL]`` of a block.
+    """
+    widest = max(model.layer_sizes)
+    block = max(1, _CHAIN_BLOCK_FLOATS // (config.proposals_per_step * widest))
+    outs = []
+    for start in range(0, count, block):
+        chains = init(min(block, count - start))
+        for _ in range(config.num_sweeps):
+            _sweep_chains(model, chains, config, rng, mask=mask, observed=observed)
+        outs.append(chains)
+    return [np.concatenate(arrays) for arrays in zip(*outs)]
+
+
 def gibbs_sample(
     model: BihmModel,
     init: Optional[GibbsState],
@@ -228,24 +247,9 @@ def gibbs_sample(
 ) -> GibbsState:
     """Run ``num_sweeps`` full sweeps from ``init`` (or a fresh model sample)."""
     if init is None:
-        x, layers = sample_p_batch(model, 1, rng)
-        chains = [x] + layers
-    else:
-        _check_state(model, init)
-        chains = _state_to_chains(init)
-    for _ in range(config.num_sweeps):
-        _sweep_chains(model, chains, config, rng)
-    return _chains_to_state(chains)
-
-
-# Chains are processed in blocks so candidate arrays (rows x proposals x dim)
-# stay within a fixed float budget regardless of the chain count.
-_CHAIN_BLOCK_FLOATS = 2**21
-
-
-def _chain_block_rows(model: BihmModel, config: GibbsConfig) -> int:
-    widest = max(model.layer_sizes)
-    return max(1, _CHAIN_BLOCK_FLOATS // (config.proposals_per_step * widest))
+        return _chains_to_state(gibbs_sample_chains(model, 1, config, rng))
+    _check_state(model, init)
+    return _chains_to_state(_run_chains(model, 1, config, rng, lambda rows: _state_to_chains(init)))
 
 
 def gibbs_sample_chains(
@@ -259,20 +263,12 @@ def gibbs_sample_chains(
     """
     if count < 1:
         raise ValueError("count must be positive")
-    block = _chain_block_rows(model, config)
-    outs = None
-    for start in range(0, count, block):
-        rows = min(block, count - start)
-        x, layers = sample_p_batch(model, rows, rng)
-        chains = [x] + layers
-        for _ in range(config.num_sweeps):
-            _sweep_chains(model, chains, config, rng)
-        if outs is None:
-            outs = [[a] for a in chains]
-        else:
-            for acc, a in zip(outs, chains):
-                acc.append(a)
-    return [np.concatenate(acc) for acc in outs]
+
+    def init(rows):
+        drawn = p_pass(model, k=rows, rng=rng)
+        return [drawn.x] + drawn.layers
+
+    return _run_chains(model, count, config, rng, init)
 
 
 # ---------------------------------------------------------------------------
@@ -305,19 +301,13 @@ def inpaint_chains(
     observed bits clamped.
     """
     x, m = _check_mask(model, x_corrupt, mask)
-    block = _chain_block_rows(model, config)
-    outs = []
-    done = 0
-    while done < count:
-        rows = min(block, count - done)
-        chains = [np.broadcast_to(x, (rows, x.shape[0])).copy()]
-        for layer in model.q_layers:
-            chains.append(layer_sample(layer, chains[-1], rng))
-        for _ in range(config.num_sweeps):
-            _sweep_chains(model, chains, config, rng, mask=m, observed=x)
-        outs.append(chains[0])
-        done += rows
-    return np.concatenate(outs)
+    if count < 1:
+        raise ValueError("count must be positive")
+
+    def init(rows):
+        return [np.tile(x, (rows, 1))] + q_pass(model, x, k=rows, rng=rng).layers
+
+    return _run_chains(model, count, config, rng, init, mask=m, observed=x)[0]
 
 
 def inpaint(

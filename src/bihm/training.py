@@ -23,15 +23,12 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from bihm.estimators import ZEstimateConfig, est_log_z2
+from bihm.estimators import ZEstimateConfig, est_log_z2, estimate_rows, log_weights
 from bihm.model import (
     BihmModel,
     ModelGradient,
     ShapeError,
-    log_joint_p,
-    log_q_given_x,
     param_views,
-    sample_q_rows,
     weighted_gradient,
     zero_model,
 )
@@ -126,16 +123,15 @@ def minibatch_gradient(
     if k < 1:
         raise ValueError("k must be positive")
     x = np.asarray(batch, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] == 0:
-        raise ShapeError(f"batch must be a nonempty 2-D array, got shape {x.shape}")
-    b = x.shape[0]
-    layers = sample_q_rows(model, x, k, rng)
-    x_exp = np.broadcast_to(x[:, None, :], (b, k, x.shape[1]))
-    lw = 0.5 * (log_joint_p(model, x_exp, layers) - log_q_given_x(model, x_exp, layers))
+    if x.ndim != 2 or x.shape[0] == 0 or x.shape[1] != model.visible_dim:
+        raise ShapeError(
+            f"batch must be a nonempty (rows, {model.visible_dim}) array, got shape {x.shape}"
+        )
+    lw, p, q = log_weights(model, x, k=k, rng=rng, keep_means=True)
     w = np.exp(lw - lw.max(axis=1, keepdims=True))
     w /= w.sum(axis=1, keepdims=True)
-    w /= b
-    return weighted_gradient(model, w, x_exp, layers)
+    w /= x.shape[0]
+    return weighted_gradient(model, w, x[:, None, :], q.layers, p.means, q.means)
 
 
 def adam_update(
@@ -170,28 +166,6 @@ def adam_update(
             if name.endswith(".weights"):
                 w -= shrink * np.sign(w)
     return BihmModel._from_checked(model.layer_sizes, theta), AdamState(m, v, t)
-
-
-def _eval_rows(model, xs, k, rng, max_floats=2**22):
-    """Mean est_log_ptilde over rows plus the mean effective-sample-size %."""
-    x = np.asarray(xs, dtype=np.float64)
-    n = x.shape[0]
-    per_row = max(1, k * (model.visible_dim + model.num_latent_bits))
-    block = max(1, max_floats // per_row)
-    total = 0.0
-    ess_total = 0.0
-    for start in range(0, n, block):
-        rows = x[start : start + block]
-        layers = sample_q_rows(model, rows, k, rng)
-        r_exp = rows[:, None, :]
-        lw = 0.5 * (log_joint_p(model, r_exp, layers) - log_q_given_x(model, r_exp, layers))
-        u = np.exp(lw - lw.max(axis=1, keepdims=True))
-        mean_u = u.mean(axis=1)
-        total += np.sum(2.0 * (lw.max(axis=1) + np.log(mean_u)))
-        s1 = u.sum(axis=1)
-        s2 = np.einsum("bk,bk->b", u, u)
-        ess_total += np.sum(s1 * s1 / s2)
-    return total / n, 100.0 * ess_total / (n * k)
 
 
 def _binary_rows(model: BihmModel, data, what: str) -> np.ndarray:
@@ -255,19 +229,19 @@ def train(
                     f"non-finite parameters at epoch {epoch}, update {updates + 1}"
                 ) from exc
             updates += 1
-        train_ll, ess_pct = _eval_rows(model, x, config.k_train, eval_rng)
+        train_ll, _, train_ess = estimate_rows(model, x, config.k_train, eval_rng)
         if valid_x is not None:
-            valid_ll, _ = _eval_rows(model, valid_x, config.k_train, eval_rng)
+            valid_ll = estimate_rows(model, valid_x, config.k_train, eval_rng)[0].mean()
         else:
             valid_ll = float("nan")
         two_log_z = est_log_z2(model, ZEstimateConfig(z_outer, 1), eval_rng).value
         metrics = {
             "epoch": epoch,
             "updates": updates,
-            "train_logptilde": float(train_ll),
+            "train_logptilde": float(train_ll.mean()),
             "valid_logptilde": float(valid_ll),
             "two_log_z": float(two_log_z),
-            "ess_pct": float(ess_pct),
+            "ess_pct": float(100.0 * train_ess.mean() / config.k_train),
             "seconds": time.perf_counter() - started,
         }
         history.append(metrics)

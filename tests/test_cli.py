@@ -8,6 +8,7 @@ import struct
 import numpy as np
 import pytest
 
+import bihm.cli
 from bihm.cli import main
 from bihm.estimators import ZEstimateConfig, est_log_ptilde_rows, est_log_z2
 from bihm.io import load_checkpoint, load_dataset, read_pgm, save_checkpoint, save_dataset, write_pgm
@@ -437,6 +438,21 @@ class TestOracleCommand:
         assert rc == 0
         assert "PASS grad_fd" in out
         assert "PASS grad_minibatch" in out
+
+    def test_all_checks_enumerate_the_table_once(self, capsys, monkeypatch):
+        calls = []
+        original = bihm.cli.exact_log_ptilde_by_x
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(bihm.cli, "exact_log_ptilde_by_x", counting)
+        rc = main(["oracle", "--dims", "3,2", "--checks", "all", "--k", "2000", "--seed", "4"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert len(out.splitlines()) == 8
+        assert len(calls) == 1
 
     def test_bad_dims(self, capsys):
         rc = main(["oracle", "--dims", "3,zebra"])

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from bihm import estimators
 from bihm.estimators import (
     EstimateWithError,
     WeightedSampleSet,
@@ -114,12 +115,15 @@ class TestExactlyUniformCase:
             assert e.std_error == 0.0
             assert e.num_samples == 100
 
-    def test_normalizer_exactly_zero(self):
+    def test_normalizer_exactly_zero(self, monkeypatch):
+        # One block, then ten blocks of five outer samples (15 floats each).
         model = zero_model([3, 2])
-        est = est_log_z2(model, ZEstimateConfig(50, 3), np.random.default_rng(8))
-        assert est.value == 0.0
-        assert est.std_error == 0.0
-        assert est.num_samples == 150
+        for budget in (estimators._BLOCK_FLOATS, 75):
+            monkeypatch.setattr(estimators, "_BLOCK_FLOATS", budget)
+            est = est_log_z2(model, ZEstimateConfig(50, 3), np.random.default_rng(8))
+            assert est.value == 0.0
+            assert est.std_error == 0.0
+            assert est.num_samples == 150
 
     def test_single_sample_has_zero_se(self):
         model = random_model([3, 2], np.random.default_rng(9))
@@ -160,6 +164,23 @@ class TestConvergence:
             hits["z"] += abs(z.value - self.exact_z2) <= 3 * z.std_error
         for name, count in hits.items():
             assert count >= 95, name
+
+    def test_blocked_normalizer_agrees_with_exact(self, monkeypatch):
+        # A 4-3-2 model takes 9 floats per outer sample, so this budget splits
+        # 20000 outer samples into 20 blocks of 1000.
+        monkeypatch.setattr(estimators, "_BLOCK_FLOATS", 9000)
+        blocks = []
+        original = estimators.p_pass
+
+        def recording(model, x=None, layers=None, k=1, **kwargs):
+            if layers is None:
+                blocks.append(k)
+            return original(model, x, layers, k=k, **kwargs)
+
+        monkeypatch.setattr(estimators, "p_pass", recording)
+        z = est_log_z2(self.model, ZEstimateConfig(20_000), np.random.default_rng(53))
+        assert len(blocks) >= 10 and sum(blocks) == 20_000
+        assert abs(z.value - self.exact_z2) <= 3 * z.std_error
 
     def test_log_normalizer_estimate_underestimates(self):
         # The estimate is unbiased in the linear domain, so its log sits

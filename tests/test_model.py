@@ -32,7 +32,9 @@ from bihm.model import (
     sigmoid,
     zero_model,
 )
+from bihm.estimators import est_log_ptilde_rows
 from bihm.oracle import bit_matrix
+from bihm.training import minibatch_gradient
 
 
 def stack_latents(model, configs):
@@ -323,6 +325,34 @@ class TestAncestralSampling:
         assert [a.shape for a in layers] == [(5, 4, 2), (5, 4, 2)]
         with pytest.raises(ShapeError):
             sample_q_rows(model, np.zeros(3), 4, np.random.default_rng(0))
+
+
+class TestOneActivationPerLayer:
+    """Each pass computes every activation once; the gradient reuses their means."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        count = [0]
+        original = BeliefLayer.activation
+
+        def counting(layer, inputs):
+            count[0] += 1
+            return original(layer, inputs)
+
+        monkeypatch.setattr(BeliefLayer, "activation", counting)
+        return count
+
+    def setup_method(self):
+        self.model = random_model([5, 4, 3], np.random.default_rng(19))
+        self.rows = (np.random.default_rng(20).random((6, 5)) < 0.5).astype(np.float64)
+
+    def test_minibatch_gradient(self, calls):
+        minibatch_gradient(self.model, self.rows, 7, np.random.default_rng(21))
+        assert calls[0] == 4
+
+    def test_row_estimates_in_one_block(self, calls):
+        est_log_ptilde_rows(self.model, self.rows, 7, np.random.default_rng(22))
+        assert calls[0] == 4
 
 
 class TestLayerGrad:
