@@ -5,188 +5,21 @@ estimation, Gibbs sampling and inpainting, plus an exhaustive-enumeration
 oracle for small models.
 """
 
-from bihm.estimators import (
-    EstimateWithError,
-    WeightedSampleSet,
-    ZEstimateConfig,
-    draw_weighted_samples,
-    ess,
-    ess_pct,
-    est_log_p,
-    est_log_p_rows,
-    est_log_pstar,
-    est_log_ptilde,
-    est_log_ptilde_rows,
-    est_log_z2,
-    importance_weights,
-    log_p_from_weights,
-    log_ptilde_from_weights,
-)
-from bihm.io import (
-    BadMagicError,
-    BinaryDataset,
-    Checkpoint,
-    FormatError,
-    SizeMismatchError,
-    TruncatedFileError,
-    UnsupportedVersionError,
-    append_metrics,
-    load_checkpoint,
-    load_dataset,
-    read_pgm,
-    save_checkpoint,
-    save_dataset,
-    write_pgm,
-)
-from bihm.model import (
-    SIGMOID_EPS,
-    BeliefLayer,
-    BihmModel,
-    FactorizedPrior,
-    LatentConfig,
-    LayerGradient,
-    ModelGradient,
-    ShapeError,
-    layer_grad,
-    layer_log_prob,
-    layer_sample,
-    log_joint_p,
-    log_q_given_x,
-    prior_log_prob,
-    prior_sample,
-    random_model,
-    sample_p,
-    sample_p_batch,
-    sample_q,
-    sample_q_batch,
-    sample_q_rows,
-    zero_model,
-)
-from bihm.oracle import (
-    MAX_FREE_BITS,
-    EnumerationLimitError,
-    EnumLimit,
-    OracleReport,
-    exact_bhattacharyya,
-    exact_conditional_pstar,
-    exact_grad_log_ptilde,
-    exact_log_p,
-    exact_log_pstar,
-    exact_log_ptilde,
-    exact_log_ptilde_by_x,
-    exact_log_z2,
-    free_state_index,
-    oracle_report,
-)
-from bihm.sampling import (
-    GibbsConfig,
-    GibbsState,
-    expected_visible,
-    gibbs_sample,
-    gibbs_sample_chains,
-    gibbs_update_hidden,
-    gibbs_update_visible,
-    inpaint,
-    inpaint_chains,
-)
-from bihm.training import (
-    AdamState,
-    TrainConfig,
-    TrainingDiverged,
-    adam_update,
-    init_model,
-    minibatch_gradient,
-    train,
-)
+from bihm import estimators, io, model, oracle, sampling, training
+from bihm.estimators import *
+from bihm.io import *
+from bihm.model import *
+from bihm.oracle import *
+from bihm.sampling import *
+from bihm.training import *
 
-__all__ = [
-    # model
-    "BeliefLayer",
-    "BihmModel",
-    "FactorizedPrior",
-    "LatentConfig",
-    "LayerGradient",
-    "ModelGradient",
-    "ShapeError",
-    "SIGMOID_EPS",
-    "layer_grad",
-    "layer_log_prob",
-    "layer_sample",
-    "log_joint_p",
-    "log_q_given_x",
-    "prior_log_prob",
-    "prior_sample",
-    "random_model",
-    "sample_p",
-    "sample_p_batch",
-    "sample_q",
-    "sample_q_batch",
-    "sample_q_rows",
-    "zero_model",
-    # estimators
-    "EstimateWithError",
-    "WeightedSampleSet",
-    "ZEstimateConfig",
-    "draw_weighted_samples",
-    "ess",
-    "ess_pct",
-    "est_log_p",
-    "est_log_p_rows",
-    "est_log_pstar",
-    "est_log_ptilde",
-    "est_log_ptilde_rows",
-    "est_log_z2",
-    "importance_weights",
-    "log_p_from_weights",
-    "log_ptilde_from_weights",
-    # oracle
-    "EnumLimit",
-    "EnumerationLimitError",
-    "MAX_FREE_BITS",
-    "OracleReport",
-    "exact_bhattacharyya",
-    "exact_conditional_pstar",
-    "exact_grad_log_ptilde",
-    "exact_log_p",
-    "exact_log_pstar",
-    "exact_log_ptilde",
-    "exact_log_ptilde_by_x",
-    "exact_log_z2",
-    "free_state_index",
-    "oracle_report",
-    # training
-    "AdamState",
-    "TrainConfig",
-    "TrainingDiverged",
-    "adam_update",
-    "init_model",
-    "minibatch_gradient",
-    "train",
-    # sampling
-    "GibbsConfig",
-    "GibbsState",
-    "expected_visible",
-    "gibbs_sample",
-    "gibbs_sample_chains",
-    "gibbs_update_hidden",
-    "gibbs_update_visible",
-    "inpaint",
-    "inpaint_chains",
-    # io
-    "BadMagicError",
-    "BinaryDataset",
-    "Checkpoint",
-    "FormatError",
-    "SizeMismatchError",
-    "TruncatedFileError",
-    "UnsupportedVersionError",
-    "append_metrics",
-    "load_checkpoint",
-    "load_dataset",
-    "read_pgm",
-    "save_checkpoint",
-    "save_dataset",
-    "write_pgm",
-]
+__all__ = (
+    model.__all__
+    + estimators.__all__
+    + oracle.__all__
+    + training.__all__
+    + sampling.__all__
+    + io.__all__
+)
 
 __version__ = "0.1.0"

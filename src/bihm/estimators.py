@@ -289,7 +289,7 @@ def est_log_z2(model: BihmModel, config: ZEstimateConfig, rng: np.random.Generat
             (p_inner.log_prob - outer.log_prob[:, None]) + (lq_outer[:, None] - q_inner.log_prob)
         )
 
-    per_outer = _blocked_rows(model, ko, ki, _BLOCK_FLOATS, log_terms)[0]
+    per_outer = _blocked_rows(model, ko, ki, log_terms)[0]
     value, se = _vector_log_mean_se(per_outer)
     return EstimateWithError(value, se, ko * ki)
 
@@ -315,16 +315,16 @@ def est_log_pstar(model: BihmModel, x, k: int, log_z2, rng: np.random.Generator)
 # ---------------------------------------------------------------------------
 
 
-def _blocked_rows(model: BihmModel, n: int, k: int, max_floats: int, log_terms):
+def _blocked_rows(model: BihmModel, n: int, k: int, log_terms):
     """Row-wise :func:`_log_mean_se` of ``n`` rows of ``k`` log terms, block by block.
 
     ``log_terms(start, stop)`` returns the ``(stop - start, k)`` terms of
-    those rows.  A block holds at most ``max_floats // (k * (visible +
-    latent bits))`` rows, so its sample arrays stay under ``max_floats``
+    those rows.  A block holds at most ``_BLOCK_FLOATS // (k * (visible +
+    latent bits))`` rows, so its sample arrays stay under ``_BLOCK_FLOATS``
     float64 entries.  Returns ``(values, std_errors, ess)`` of length ``n``.
     """
     per_row = k * (model.visible_dim + model.num_latent_bits)
-    block = max(1, max_floats // max(per_row, 1))
+    block = max(1, _BLOCK_FLOATS // max(per_row, 1))
     out = np.empty((3, n))
     for start in range(0, n, block):
         stop = min(start + block, n)
@@ -332,9 +332,7 @@ def _blocked_rows(model: BihmModel, n: int, k: int, max_floats: int, log_terms):
     return out
 
 
-def estimate_rows(
-    model: BihmModel, xs, k: int, rng, squared=False, max_floats: int = _BLOCK_FLOATS
-):
+def estimate_rows(model: BihmModel, xs, k: int, rng, squared=False):
     """Per-row ``log ptilde`` estimates (``log p`` if ``squared``), SEs and ESS.
 
     The row-batched core behind :func:`est_log_ptilde_rows`,
@@ -351,29 +349,25 @@ def estimate_rows(
         log_w = log_weights(model, x[start:stop], k=k, rng=rng)[0]
         return 2.0 * log_w if squared else log_w
 
-    values, ses, ess_rows = _blocked_rows(model, x.shape[0], k, max_floats, log_terms)
+    values, ses, ess_rows = _blocked_rows(model, x.shape[0], k, log_terms)
     if not squared:
         values, ses = 2.0 * values, 2.0 * ses
     return values, ses, ess_rows
 
 
-def est_log_ptilde_rows(
-    model: BihmModel, xs, k: int, rng: np.random.Generator, max_floats: int = _BLOCK_FLOATS
-):
+def est_log_ptilde_rows(model: BihmModel, xs, k: int, rng: np.random.Generator):
     """``est_log_ptilde`` for every row of a dataset, vectorized.
 
     Returns ``(values, std_errors)`` arrays of length ``rows``.  Work is
-    chunked so intermediate sample arrays stay under ``max_floats`` float64
-    entries.
+    chunked so intermediate sample arrays stay under ``_BLOCK_FLOATS``
+    float64 entries.
     """
-    return estimate_rows(model, xs, k, rng, max_floats=max_floats)[:2]
+    return estimate_rows(model, xs, k, rng)[:2]
 
 
-def est_log_p_rows(
-    model: BihmModel, xs, k: int, rng: np.random.Generator, max_floats: int = _BLOCK_FLOATS
-):
+def est_log_p_rows(model: BihmModel, xs, k: int, rng: np.random.Generator):
     """``est_log_p`` for every row of a dataset, vectorized."""
-    return estimate_rows(model, xs, k, rng, squared=True, max_floats=max_floats)[:2]
+    return estimate_rows(model, xs, k, rng, squared=True)[:2]
 
 
 # ---------------------------------------------------------------------------

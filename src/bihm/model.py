@@ -35,6 +35,31 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 from scipy.special import expit
 
+__all__ = [
+    "BeliefLayer",
+    "BihmModel",
+    "FactorizedPrior",
+    "LatentConfig",
+    "LayerGradient",
+    "ModelGradient",
+    "ShapeError",
+    "SIGMOID_EPS",
+    "layer_grad",
+    "layer_log_prob",
+    "layer_sample",
+    "log_joint_p",
+    "log_q_given_x",
+    "prior_log_prob",
+    "prior_sample",
+    "random_model",
+    "sample_p",
+    "sample_p_batch",
+    "sample_q",
+    "sample_q_batch",
+    "sample_q_rows",
+    "zero_model",
+]
+
 SIGMOID_EPS = 1e-7
 
 

@@ -11,9 +11,13 @@ estimator and for the Gibbs sampler.
 
 Enumeration is strictly ordered: bit vectors are generated lexicographically
 (first bit most significant), latent layers are concatenated bottom-up, and
-the visible layer precedes the latents wherever both are enumerated.  A hard
-cap on enumerated bits raises :class:`EnumerationLimitError` before any
-exponential blowup can start.
+the visible layer precedes the latents wherever both are enumerated.  No call
+enumerates more than ``2^MAX_ENUM_BITS`` configurations: past that cap it
+raises :class:`EnumerationLimitError` before allocating anything.  Every sum
+over the latents runs through one blocked core, so the pass arrays of one
+block stay under ``_BLOCK_FLOATS`` floats and memory is bounded by that
+budget (plus the inputs and outputs, one entry per visible row) whatever the
+bit counts.
 """
 
 from __future__ import annotations
@@ -27,9 +31,9 @@ from scipy.special import logsumexp
 from bihm.model import BihmModel, ModelGradient, ShapeError, p_pass, q_pass, weighted_gradient
 
 __all__ = [
-    "EnumLimit",
     "EnumerationLimitError",
     "OracleReport",
+    "MAX_ENUM_BITS",
     "MAX_FREE_BITS",
     "bit_matrix",
     "config_index",
@@ -45,32 +49,23 @@ __all__ = [
     "oracle_report",
 ]
 
+MAX_ENUM_BITS = 24
 MAX_FREE_BITS = 16
 
-# Cap on entries of any (visible block x latent block) working matrix.
+# Float budget of one block: visible rows x latent configurations x
+# (visible + latent bits).
 _BLOCK_FLOATS = 2**22
 
 
 class EnumerationLimitError(ValueError):
-    """The requested enumeration would exceed the configured bit cap."""
+    """The requested enumeration would exceed the bit cap."""
 
 
-@dataclass(frozen=True)
-class EnumLimit:
-    """Cap on the number of bits any oracle call may enumerate over."""
-
-    max_total_bits: int = 24
-
-    def __post_init__(self):
-        if self.max_total_bits < 1:
-            raise ValueError("max_total_bits must be positive")
-
-    def check(self, what: str, bits: int) -> None:
-        if bits > self.max_total_bits:
-            raise EnumerationLimitError(
-                f"{what} would enumerate 2^{bits} configurations, "
-                f"over the cap of 2^{self.max_total_bits}"
-            )
+def _check_bits(what: str, bits: int) -> None:
+    if bits > MAX_ENUM_BITS:
+        raise EnumerationLimitError(
+            f"{what} would enumerate 2^{bits} configurations, over the cap of 2^{MAX_ENUM_BITS}"
+        )
 
 
 def bit_matrix(n_bits: int, start: int = 0, stop: Optional[int] = None) -> np.ndarray:
@@ -93,25 +88,43 @@ def config_index(bits) -> int:
     return int(np.sum(b.astype(np.int64) << np.arange(n - 1, -1, -1)))
 
 
-def _split_latent(model: BihmModel, joint: np.ndarray) -> list:
-    """Split joint latent bit rows into per-layer arrays, bottom-up."""
-    sizes = model.latent_sizes
-    offsets = np.cumsum((0,) + sizes)
-    return [joint[:, offsets[i] : offsets[i + 1]] for i in range(len(sizes))]
+def _blocks(model: BihmModel, n_rows: int):
+    """Yield ``(start, stop, layers)``: visible rows by latent configurations.
+
+    The blocks cover ``n_rows`` visible rows times every latent configuration.
+    ``layers`` holds one ``(1, configurations, d_l)`` array per latent layer,
+    bottom-up, and a block's rows x configurations x (visible + latent bits)
+    stays under ``_BLOCK_FLOATS`` (one row and one configuration at least).
+    """
+    n_bits = model.num_latent_bits
+    n_h = 1 << n_bits
+    width = model.visible_dim + n_bits
+    h_step = max(1, min(n_h, _BLOCK_FLOATS // width))
+    x_step = max(1, _BLOCK_FLOATS // (h_step * width))
+    offsets = np.cumsum((0,) + model.latent_sizes)
+    for h_start in range(0, n_h, h_step):
+        joint = bit_matrix(n_bits, h_start, min(h_start + h_step, n_h))
+        layers = [joint[None, :, a:b] for a, b in zip(offsets[:-1], offsets[1:])]
+        for start in range(0, n_rows, x_step):
+            yield start, min(start + x_step, n_rows), layers
 
 
-def _latent_blocks(model: BihmModel, max_rows: int):
-    """Yield per-layer arrays for blocks of the joint latent enumeration."""
-    n = model.num_latent_bits
-    total = 1 << n
-    step = max(1, max_rows)
-    for start in range(0, total, step):
-        stop = min(start + step, total)
-        yield _split_latent(model, bit_matrix(n, start, stop))
+def _sum_over_h(model: BihmModel, xs, log_term) -> np.ndarray:
+    """``log sum_h exp(log_term(x, h))`` over every latent configuration, per row.
 
-
-def _limit(limit: Optional[EnumLimit]) -> EnumLimit:
-    return limit if limit is not None else EnumLimit()
+    ``xs`` holds the visible rows, or is None for every visible configuration
+    in enumeration order (generated block by block).  ``log_term(x, layers)``
+    gets ``x`` of shape ``(rows, 1, visible_dim)`` and the block's latent
+    layers, and returns the ``(rows, configurations)`` log terms.
+    """
+    _check_bits("summing over the latents", model.num_latent_bits)
+    d0 = model.visible_dim
+    out = np.full(1 << d0 if xs is None else xs.shape[0], -np.inf)
+    for start, stop, layers in _blocks(model, out.shape[0]):
+        x = bit_matrix(d0, start, stop) if xs is None else xs[start:stop]
+        block = logsumexp(log_term(x[:, None, :], layers), axis=1)
+        out[start:stop] = np.logaddexp(out[start:stop], block)
+    return out
 
 
 def _log_sqrt_pq(model: BihmModel, x, layers, keep_means=False):
@@ -121,66 +134,50 @@ def _log_sqrt_pq(model: BihmModel, x, layers, keep_means=False):
     return 0.5 * (p.log_prob + q.log_prob), p, q
 
 
+def _log_sqrt_ptilde(model: BihmModel, xs) -> np.ndarray:
+    """``log sqrt(ptilde(x)) = log sum_h sqrt(p(x,h) q(h|x))``, per row of :func:`_sum_over_h`."""
+    return _sum_over_h(model, xs, lambda x, layers: _log_sqrt_pq(model, x, layers)[0])
+
+
+def _log_p(model: BihmModel, xs) -> np.ndarray:
+    """``log p(x) = log sum_h p(x, h)``, per row of :func:`_sum_over_h`."""
+    return _sum_over_h(model, xs, lambda x, layers: p_pass(model, x, layers).log_prob)
+
+
 # ---------------------------------------------------------------------------
 # Exact marginals and normalizer
 # ---------------------------------------------------------------------------
 
 
-def exact_log_ptilde(model: BihmModel, x, limit: Optional[EnumLimit] = None) -> float:
+def exact_log_ptilde(model: BihmModel, x) -> float:
     """``log ptilde(x)`` by summing ``sqrt(p(x,h) q(h|x))`` over every ``h``."""
-    lim = _limit(limit)
-    lim.check("exact_log_ptilde", model.num_latent_bits)
-    xs = np.asarray(x, dtype=np.float64)
-    parts = []
-    for layers in _latent_blocks(model, _BLOCK_FLOATS):
-        parts.append(logsumexp(_log_sqrt_pq(model, xs, layers)[0]))
-    return float(2.0 * logsumexp(parts))
+    return float(2.0 * _log_sqrt_ptilde(model, np.asarray(x, dtype=np.float64)[None])[0])
 
 
-def exact_log_p(model: BihmModel, x, limit: Optional[EnumLimit] = None) -> float:
+def exact_log_p(model: BihmModel, x) -> float:
     """Exact directed marginal ``log p(x) = log sum_h p(x, h)``."""
-    lim = _limit(limit)
-    lim.check("exact_log_p", model.num_latent_bits)
-    xs = np.asarray(x, dtype=np.float64)
-    parts = [
-        logsumexp(p_pass(model, xs, layers).log_prob)
-        for layers in _latent_blocks(model, _BLOCK_FLOATS)
-    ]
-    return float(logsumexp(parts))
+    return float(_log_p(model, np.asarray(x, dtype=np.float64)[None])[0])
 
 
-def exact_log_ptilde_by_x(model: BihmModel, limit: Optional[EnumLimit] = None) -> np.ndarray:
+def exact_log_ptilde_by_x(model: BihmModel) -> np.ndarray:
     """``log ptilde(x)`` for every visible configuration, in enumeration order."""
-    lim = _limit(limit)
-    d0 = model.visible_dim
-    lim.check("exact_log_ptilde_by_x", d0 + model.num_latent_bits)
-    n_vis = 1 << d0
-    latent_rows = min(1 << model.num_latent_bits, _BLOCK_FLOATS)
-    vis_rows = max(1, _BLOCK_FLOATS // latent_rows)
-    running = np.full(n_vis, -np.inf)
-    for v_start in range(0, n_vis, vis_rows):
-        v_stop = min(v_start + vis_rows, n_vis)
-        xs = bit_matrix(d0, v_start, v_stop)
-        for layers in _latent_blocks(model, latent_rows):
-            half = _log_sqrt_pq(model, xs[:, None, :], [h[None, :, :] for h in layers])[0]
-            block_lse = logsumexp(half, axis=1)
-            running[v_start:v_stop] = np.logaddexp(running[v_start:v_stop], block_lse)
-    return 2.0 * running
+    _check_bits("exact_log_ptilde_by_x", model.visible_dim + model.num_latent_bits)
+    return 2.0 * _log_sqrt_ptilde(model, None)
 
 
-def exact_log_z2(model: BihmModel, limit: Optional[EnumLimit] = None) -> float:
+def exact_log_z2(model: BihmModel) -> float:
     """``log Z^2 = log sum_x ptilde(x)``; always <= 0, with 0 iff p = q."""
-    return float(logsumexp(exact_log_ptilde_by_x(model, limit)))
+    return float(logsumexp(exact_log_ptilde_by_x(model)))
 
 
-def exact_bhattacharyya(model: BihmModel, limit: Optional[EnumLimit] = None) -> float:
+def exact_bhattacharyya(model: BihmModel) -> float:
     """Bhattacharyya distance between the two joints: ``-log Z >= 0``."""
-    return -0.5 * exact_log_z2(model, limit)
+    return -0.5 * exact_log_z2(model)
 
 
-def exact_log_pstar(model: BihmModel, x, limit: Optional[EnumLimit] = None) -> float:
+def exact_log_pstar(model: BihmModel, x) -> float:
     """Exact ``log p*(x) = log ptilde(x) - log Z^2``."""
-    return exact_log_ptilde(model, x, limit) - exact_log_z2(model, limit)
+    return exact_log_ptilde(model, x) - exact_log_z2(model)
 
 
 # ---------------------------------------------------------------------------
@@ -188,24 +185,24 @@ def exact_log_pstar(model: BihmModel, x, limit: Optional[EnumLimit] = None) -> f
 # ---------------------------------------------------------------------------
 
 
-def exact_grad_log_ptilde(
-    model: BihmModel, x, limit: Optional[EnumLimit] = None
-) -> ModelGradient:
+def exact_grad_log_ptilde(model: BihmModel, x) -> ModelGradient:
     """Exact gradient of ``log ptilde(x)`` with respect to all parameters.
 
     Equals the posterior-weighted sum ``sum_h gamma_h d/dtheta [log p(x,h) +
-    log q(h|x)]`` with ``gamma_h`` proportional to ``sqrt(p(x,h) q(h|x))``.
+    log q(h|x)]`` with ``gamma_h`` proportional to ``sqrt(p(x,h) q(h|x))``:
+    the normalizer comes from one pass over the latents, and the weighted
+    gradients are added up block by block in a second.
     """
-    lim = _limit(limit)
-    lim.check("exact_grad_log_ptilde", model.num_latent_bits)
     xs = np.asarray(x, dtype=np.float64)
     if xs.ndim != 1 or xs.shape[0] != model.visible_dim:
         raise ShapeError(f"x must be a length-{model.visible_dim} vector")
-
-    layers = [h[None] for h in _split_latent(model, bit_matrix(model.num_latent_bits))]
-    half, p, q = _log_sqrt_pq(model, xs, layers, keep_means=True)
-    gamma = np.exp(half - logsumexp(half))
-    return weighted_gradient(model, gamma, xs, layers, p.means, q.means)
+    log_norm = _log_sqrt_ptilde(model, xs[None])[0]
+    grad = ModelGradient.zeros_for(model)
+    for _, _, layers in _blocks(model, 1):
+        half, p, q = _log_sqrt_pq(model, xs, layers, keep_means=True)
+        gamma = np.exp(half - log_norm)
+        grad.params += weighted_gradient(model, gamma, xs, layers, p.means, q.means).params
+    return grad
 
 
 # ---------------------------------------------------------------------------
@@ -293,19 +290,11 @@ def exact_conditional_pstar(model: BihmModel, clamped) -> np.ndarray:
     hs = full[1:]
     log_w = _log_sqrt_pq(model, xs, hs)[0]
 
-    free_vis_cols = [j for (i, j) in free if i == 0]
-    if free_vis_cols:
-        # ptilde(x) varies only over the free visible bits; evaluate each
-        # distinct visible configuration once.
-        vis_bits = xs[:, free_vis_cols].astype(np.int64)
-        codes = vis_bits @ (1 << np.arange(len(free_vis_cols) - 1, -1, -1))
-        table = np.empty(1 << len(free_vis_cols))
-        seen = np.zeros(table.shape[0], dtype=bool)
-        for row, code in enumerate(codes):
-            if not seen[code]:
-                table[code] = exact_log_ptilde(model, xs[row])
-                seen[code] = True
-        log_w = log_w + 0.5 * table[codes]
+    if any(i == 0 for (i, _) in free):
+        # ptilde(x) varies only over the free visible bits; score each
+        # distinct visible row once.  (numpy 2.0.0 returns a 2-D inverse.)
+        distinct, inverse = np.unique(xs, axis=0, return_inverse=True)
+        log_w = log_w + _log_sqrt_ptilde(model, distinct)[inverse.reshape(-1)]
 
     return np.exp(log_w - logsumexp(log_w))
 
@@ -326,28 +315,20 @@ class OracleReport:
     exact_grad: Optional[ModelGradient] = None
 
 
-def oracle_report(
-    model: BihmModel,
-    grad_x: Optional[Sequence[float]] = None,
-    limit: Optional[EnumLimit] = None,
-) -> OracleReport:
+def oracle_report(model: BihmModel, grad_x: Optional[Sequence[float]] = None) -> OracleReport:
     """Compute every exact quantity for a tiny model in one pass.
 
     ``grad_x``, if given, selects one visible vector for the exact gradient.
     """
-    lim = _limit(limit)
-    ptilde = exact_log_ptilde_by_x(model, lim)
-    d0 = model.visible_dim
-    xs = bit_matrix(d0)
-    keys = [tuple(int(b) for b in row) for row in xs]
-    log_p = {k: exact_log_p(model, np.asarray(k, dtype=np.float64), lim) for k in keys}
+    ptilde = exact_log_ptilde_by_x(model)
+    keys = [tuple(int(b) for b in row) for row in bit_matrix(model.visible_dim)]
     log_z2 = float(logsumexp(ptilde))
     grad = None
     if grad_x is not None:
-        grad = exact_grad_log_ptilde(model, np.asarray(grad_x, dtype=np.float64), lim)
+        grad = exact_grad_log_ptilde(model, np.asarray(grad_x, dtype=np.float64))
     return OracleReport(
         log_ptilde_by_x={k: float(v) for k, v in zip(keys, ptilde)},
-        log_p_by_x=log_p,
+        log_p_by_x={k: float(v) for k, v in zip(keys, _log_p(model, None))},
         log_z2=log_z2,
         bhattacharyya=-0.5 * log_z2,
         exact_grad=grad,

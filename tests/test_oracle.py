@@ -1,6 +1,7 @@
 """Exhaustive-enumeration oracle, checked against a plain linear-domain reference."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import support
 import bihm.oracle as oracle
 from bihm.model import LatentConfig, ShapeError, random_model, zero_model
 from bihm.oracle import (
-    EnumLimit,
+    MAX_ENUM_BITS,
     EnumerationLimitError,
     bit_matrix,
     config_index,
@@ -239,11 +240,23 @@ class TestEnumerationLimits:
         with pytest.raises(EnumerationLimitError):
             exact_log_ptilde(wide_latent, np.zeros(1))
 
-    def test_custom_limit(self):
-        model = zero_model([3, 2])
+    def test_one_bit_past_the_cap_raises_everywhere(self):
+        over = MAX_ENUM_BITS + 1
+        half = over // 2
+        wide_latent = zero_model([2, half, over - half])
+        x = np.zeros(2)
+        for call in (exact_log_ptilde, exact_log_p, exact_grad_log_ptilde):
+            with pytest.raises(EnumerationLimitError):
+                call(wide_latent, x)
+        # visible and latent bits together
+        wide_total = zero_model([5, over - 5])
+        for call in (exact_log_ptilde_by_x, exact_log_z2, oracle_report):
+            with pytest.raises(EnumerationLimitError):
+                call(wide_total)
+        # few free bits, but scoring each visible row sums over the latents
+        clamped = [None, np.zeros(half, dtype=np.int8), np.zeros(over - half, dtype=np.int8)]
         with pytest.raises(EnumerationLimitError):
-            exact_log_z2(model, EnumLimit(4))
-        assert exact_log_z2(model, EnumLimit(5)) == 0.0
+            exact_conditional_pstar(wide_latent, clamped)
 
 
 class TestOracleReport:
@@ -270,16 +283,41 @@ class TestBlocking:
     def test_small_blocks_give_identical_values(self, monkeypatch):
         model = random_model([3, 2, 2], np.random.default_rng(36))
         x = np.array([1.0, 1.0, 0.0])
-        reference = (
-            exact_log_ptilde(model, x),
-            exact_log_p(model, x),
-            exact_log_z2(model),
-        )
+        free_visibles = [np.array([-1, 0, -1]), np.array([1, -1]), None]
+
+        def values():
+            return (
+                exact_log_ptilde(model, x),
+                exact_log_p(model, x),
+                exact_log_z2(model),
+                exact_grad_log_ptilde(model, x).params,
+                exact_conditional_pstar(model, free_visibles),
+                np.array(list(oracle_report(model).log_p_by_x.values())),
+            )
+
+        reference = values()
         monkeypatch.setattr(oracle, "_BLOCK_FLOATS", 7)
-        blocked = (
-            exact_log_ptilde(model, x),
-            exact_log_p(model, x),
-            exact_log_z2(model),
-        )
+        blocked = values()
         for a, b in zip(reference, blocked):
-            assert abs(a - b) < 1e-12
+            assert np.max(np.abs(a - b)) < 1e-12
+
+    @pytest.mark.parametrize(
+        "call,sizes",
+        [
+            (exact_log_ptilde, [2, 8, 8]),
+            (exact_log_p, [2, 8, 8]),
+            (exact_grad_log_ptilde, [2, 8, 8]),
+            (exact_log_ptilde_by_x, [6, 5, 4]),
+        ],
+    )
+    def test_peak_memory_follows_the_block_budget(self, monkeypatch, call, sizes):
+        monkeypatch.setattr(oracle, "_BLOCK_FLOATS", 2**12)
+        model = random_model(sizes, np.random.default_rng(37))
+        args = (model,) if call is exact_log_ptilde_by_x else (model, np.ones(sizes[0]))
+        tracemalloc.start()
+        try:
+            call(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 8 * oracle._BLOCK_FLOATS
