@@ -8,6 +8,7 @@ branch on the second field.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -111,11 +112,10 @@ def _cmd_train(args) -> int:
     model, history = train(model, data.data, config, valid=valid, callbacks=[report])
 
     if args.finetune_epochs > 0:
-        fine = TrainConfig(
+        fine = dataclasses.replace(
+            config,
             k_train=args.finetune_k or args.k,
             learning_rate=args.finetune_lr if args.finetune_lr is not None else args.lr,
-            batch_size=args.batch,
-            l1_lambda=args.l1,
             epochs=args.finetune_epochs,
             seed=args.seed + 1,
         )
@@ -158,10 +158,6 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     model = load_checkpoint(args.model).model
     data = load_dataset(args.data)
-    if data.cols != model.visible_dim:
-        raise ShapeError(
-            f"dataset has {data.cols} columns, model expects {model.visible_dim}"
-        )
     rng = np.random.default_rng(args.seed)
     z_part = ""
     z_se = 0.0
@@ -203,6 +199,8 @@ def _cmd_zest(args) -> int:
 
 def _cmd_sample(args) -> int:
     model = load_checkpoint(args.model).model
+    if args.count < 1:
+        raise ValueError("count must be positive")
     rng = np.random.default_rng(args.seed)
     if args.gibbs > 0:
         config = GibbsConfig(

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from bihm.model import BihmModel, LatentConfig, ShapeError, p_pass, q_pass
+from bihm.model import BihmModel, LatentConfig, _checked_latents, _checked_visible, p_pass, q_pass
 
 __all__ = [
     "EstimateWithError",
@@ -122,30 +122,8 @@ def _stacked_layers(model: BihmModel, samples) -> list:
     if not seq:
         raise ValueError("need at least one sample")
     if isinstance(seq[0], LatentConfig):
-        L = model.num_latent_layers
-        if any(len(s) != L for s in seq):
-            raise ShapeError(f"every sample must have {L} layers")
-        seq = [
-            np.stack([s.layers[i] for s in seq]).astype(np.float64)
-            for i in range(L)
-        ]
-    arrays = [np.asarray(a, dtype=np.float64) for a in seq]
-    if len(arrays) != model.num_latent_layers or any(a.ndim != 2 for a in arrays):
-        raise ShapeError(
-            "samples must be a list of latent configurations or one "
-            "(K, d_l) array per latent layer"
-        )
-    widths = tuple(a.shape[1] for a in arrays)
-    if widths != model.latent_sizes:
-        raise ShapeError(f"latent layer widths {widths} do not match {model.latent_sizes}")
-    return arrays
-
-
-def _checked_vector(model: BihmModel, x) -> np.ndarray:
-    xs = np.asarray(x, dtype=np.float64)
-    if xs.shape != (model.visible_dim,):
-        raise ShapeError(f"x must be a length-{model.visible_dim} vector, got shape {xs.shape}")
-    return xs
+        seq = [np.stack(layer) for layer in zip(*(_checked_latents(model, s) for s in seq))]
+    return _checked_latents(model, seq, ndim=2)
 
 
 def log_weights(model: BihmModel, x, layers=None, k: int = 1, rng=None, keep_means=False):
@@ -172,14 +150,14 @@ def importance_weights(model: BihmModel, x, samples) -> WeightedSampleSet:
     one stacked ``(K, d_l)`` array per layer).  Deterministic given inputs.
     """
     layers = _stacked_layers(model, samples)
-    return _weighted_set(layers, log_weights(model, _checked_vector(model, x), layers)[0])
+    return _weighted_set(layers, log_weights(model, _checked_visible(model, x, 1, "x"), layers)[0])
 
 
 def draw_weighted_samples(model: BihmModel, x, k: int, rng: np.random.Generator) -> WeightedSampleSet:
     """Draw ``k`` samples from ``q(h | x)`` and weight them."""
     if k < 1:
         raise ValueError("k must be positive")
-    log_w, _, q = log_weights(model, _checked_vector(model, x), k=k, rng=rng)
+    log_w, _, q = log_weights(model, _checked_visible(model, x, 1, "x"), k=k, rng=rng)
     return _weighted_set(q.layers, log_w)
 
 
@@ -339,11 +317,9 @@ def estimate_rows(model: BihmModel, xs, k: int, rng, squared=False):
     :func:`est_log_p_rows` and the training epoch evaluation.  ``ess`` is
     that of the weights ``exp(log_w)``, or of their squares if ``squared``.
     """
-    x = np.asarray(xs, dtype=np.float64)
-    if x.ndim != 2:
-        raise ShapeError(f"expected a 2-D dataset array, got shape {x.shape}")
-    if x.shape[1] != model.visible_dim:
-        raise ShapeError(f"dataset has {x.shape[1]} columns, model expects {model.visible_dim}")
+    x = _checked_visible(model, xs, 2, "dataset")
+    if k < 1:
+        raise ValueError("k must be positive")
 
     def log_terms(start, stop):
         log_w = log_weights(model, x[start:stop], k=k, rng=rng)[0]

@@ -39,7 +39,7 @@ from typing import Optional
 
 import numpy as np
 
-from bihm.model import BihmModel, param_count
+from bihm.model import BihmModel, _check_binary, param_count
 
 __all__ = [
     "FormatError",
@@ -97,8 +97,7 @@ class BinaryDataset:
         a = np.asarray(self.data, dtype=np.float64)
         if a.ndim != 2:
             raise ValueError(f"dataset must be 2-D, got shape {a.shape}")
-        if not np.all((a == 0.0) | (a == 1.0)):
-            raise ValueError("dataset entries must be 0 or 1")
+        _check_binary("dataset", a)
         object.__setattr__(self, "data", a)
 
     @property

@@ -88,7 +88,7 @@ def _check_last_dim(what: str, arr: np.ndarray, dim: int) -> None:
 
 def _check_binary(what: str, arr: np.ndarray) -> None:
     if not np.all((arr == 0.0) | (arr == 1.0)):
-        raise ValueError(f"{what}: entries must be 0 or 1")
+        raise ValueError(f"{what} entries must be 0 or 1")
 
 
 @dataclass(frozen=True)
@@ -207,6 +207,17 @@ def param_views(params: np.ndarray, layer_sizes) -> dict:
     return views
 
 
+def _flat_params(sizes: tuple, arrays) -> np.ndarray:
+    """``arrays``, one per :func:`param_layout` entry, as one new flat vector."""
+    layout = param_layout(sizes)
+    if len(arrays) != len(layout):
+        raise ShapeError(f"expected {len(layout)} parameter arrays, got {len(arrays)}")
+    for (name, shape), a in zip(layout, arrays):
+        if np.shape(a) != shape:
+            raise ShapeError(f"{name} has shape {np.shape(a)}, expected {shape}")
+    return np.concatenate([np.ravel(a) for a in arrays])
+
+
 def _check_sizes(layer_sizes) -> tuple:
     sizes = tuple(int(s) for s in layer_sizes)
     if len(sizes) < 2:
@@ -252,30 +263,15 @@ class BihmModel:
 
     def __post_init__(self):
         sizes = _check_sizes(self.layer_sizes)
-        prior = self.prior
         p = tuple(self.p_layers)
         q = tuple(self.q_layers)
         L = len(sizes) - 1
         if len(p) != L or len(q) != L:
             raise ShapeError(f"expected {L} layers in each stack, got {len(p)} p / {len(q)} q")
-        for i in range(L):
-            if p[i].out_dim != sizes[i] or p[i].in_dim != sizes[i + 1]:
-                raise ShapeError(
-                    f"p layer {i + 1} has shape {p[i].out_dim}x{p[i].in_dim}, "
-                    f"expected {sizes[i]}x{sizes[i + 1]}"
-                )
-            if q[i].out_dim != sizes[i + 1] or q[i].in_dim != sizes[i]:
-                raise ShapeError(
-                    f"q layer {i + 1} has shape {q[i].out_dim}x{q[i].in_dim}, "
-                    f"expected {sizes[i + 1]}x{sizes[i]}"
-                )
-        if prior.dim != sizes[-1]:
-            raise ShapeError(f"prior has {prior.dim} units, top layer has {sizes[-1]}")
-        self._adopt(sizes, np.empty(param_count(sizes)))
-        self.prior.biases[...] = prior.biases
-        for new, old in zip(self.p_layers + self.q_layers, p + q):
-            new.weights[...] = old.weights
-            new.biases[...] = old.biases
+        arrays = [self.prior.biases]
+        for layer in p[::-1] + q:
+            arrays += [layer.weights, layer.biases]
+        self._adopt(sizes, _flat_params(sizes, arrays))
 
     def _adopt(self, sizes: tuple, params: np.ndarray) -> None:
         """Point ``params``, ``prior`` and both stacks at views of ``params``."""
@@ -336,14 +332,7 @@ class BihmModel:
 
     def with_params(self, arrays: Sequence[np.ndarray]) -> "BihmModel":
         """New model with parameter arrays replaced, in ``param_items`` order."""
-        layout = param_layout(self.layer_sizes)
-        if len(arrays) != len(layout):
-            raise ShapeError(f"expected {len(layout)} parameter arrays, got {len(arrays)}")
-        for (name, shape), a in zip(layout, arrays):
-            if np.shape(a) != shape:
-                raise ShapeError(f"{name} has shape {np.shape(a)}, expected {shape}")
-        flat = np.concatenate([np.ravel(a) for a in arrays])
-        return BihmModel.from_params(self.layer_sizes, flat)
+        return BihmModel.from_params(self.layer_sizes, _flat_params(self.layer_sizes, arrays))
 
 
 @dataclass(frozen=True)
@@ -376,12 +365,6 @@ class ModelGradient:
     def param_items(self):
         """Same names and order as :meth:`BihmModel.param_items`."""
         return list(param_views(self.params, self.layer_sizes).items())
-
-
-def _latent_arrays(h) -> list:
-    if isinstance(h, LatentConfig):
-        return list(h.layers)
-    return [_as_float_array(a) for a in h]
 
 
 # ---------------------------------------------------------------------------
@@ -559,25 +542,42 @@ def layer_grad(layer: BeliefLayer, inputs, targets) -> LayerGradient:
 # ---------------------------------------------------------------------------
 
 
+def _checked_visible(model: BihmModel, x, ndim: int, what: str, binary=False) -> np.ndarray:
+    """``x`` as a float array: one visible vector if ``ndim`` is 1, a nonempty batch of rows if 2.
+
+    Raises :class:`ShapeError` for a wrong axis count, width or an empty
+    batch, and ``ValueError`` for entries other than 0 and 1 if ``binary``.
+    """
+    xs = _as_float_array(x)
+    if xs.ndim != ndim or xs.shape[-1] != model.visible_dim or xs.size == 0:
+        want = f"({model.visible_dim},)" if ndim == 1 else f"(rows >= 1, {model.visible_dim})"
+        raise ShapeError(f"{what} has shape {xs.shape}, expected {want}")
+    if binary:
+        _check_binary(what, xs)
+    return xs
+
+
+def _checked_latents(model: BihmModel, h, ndim=None) -> list:
+    """The layers of ``h``, bottom-up, as float arrays, their count and widths checked.
+
+    ``h`` is a :class:`LatentConfig` or one array per latent layer; leading
+    batch axes are free unless ``ndim`` fixes each layer's axis count.
+    """
+    hs = list(h.layers) if isinstance(h, LatentConfig) else [_as_float_array(a) for a in h]
+    if len(hs) != model.num_latent_layers:
+        raise ShapeError(f"expected {model.num_latent_layers} latent layers, got {len(hs)}")
+    for i, a in enumerate(hs):
+        _check_last_dim(f"latent layer {i + 1}", a, model.layer_sizes[i + 1])
+        if ndim is not None and a.ndim != ndim:
+            raise ShapeError(f"latent layer {i + 1} must have {ndim} axes, got shape {a.shape}")
+    return hs
+
+
 def _checked_joint(model: BihmModel, x, h):
     """``x`` and the latent layers of ``h`` as float arrays, their last dimensions checked."""
     xs = _as_float_array(x)
-    hs = _latent_arrays(h)
-    L = model.num_latent_layers
-    if len(hs) != L:
-        raise ShapeError(f"expected {L} latent layers, got {len(hs)}")
     _check_last_dim("visible input", xs, model.visible_dim)
-    for i, a in enumerate(hs):
-        _check_last_dim(f"latent layer {i + 1}", a, model.layer_sizes[i + 1])
-    return xs, hs
-
-
-def _checked_visible(model: BihmModel, x, ndim: int, what: str) -> np.ndarray:
-    xs = _as_float_array(x)
-    _check_last_dim("visible input", xs, model.visible_dim)
-    if xs.ndim != ndim:
-        raise ShapeError(f"{what}, got shape {xs.shape}")
-    return xs
+    return xs, _checked_latents(model, h)
 
 
 def log_joint_p(model: BihmModel, x, h) -> np.ndarray:
@@ -600,8 +600,7 @@ def sample_q_batch(model: BihmModel, x, k: int, rng: np.random.Generator) -> lis
 
     Returns one ``(k, d_l)`` array per latent layer, bottom-up.
     """
-    xs = _checked_visible(model, x, 1, "sample_q_batch expects a single visible vector")
-    return q_pass(model, xs, k=k, rng=rng).layers
+    return q_pass(model, _checked_visible(model, x, 1, "x"), k=k, rng=rng).layers
 
 
 def sample_q(model: BihmModel, x, rng: np.random.Generator) -> LatentConfig:
@@ -618,8 +617,7 @@ def sample_q_rows(model: BihmModel, xs, k: int, rng: np.random.Generator) -> lis
     row-major order, so results are reproducible for a fixed generator state
     and row count.
     """
-    x = _checked_visible(model, xs, 2, f"expected a (rows, {model.visible_dim}) array")
-    return q_pass(model, x, k=k, rng=rng).layers
+    return q_pass(model, _checked_visible(model, xs, 2, "xs"), k=k, rng=rng).layers
 
 
 def sample_p_batch(model: BihmModel, k: int, rng: np.random.Generator):

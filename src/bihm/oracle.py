@@ -28,7 +28,15 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.special import logsumexp
 
-from bihm.model import BihmModel, ModelGradient, ShapeError, p_pass, q_pass, weighted_gradient
+from bihm.model import (
+    BihmModel,
+    ModelGradient,
+    ShapeError,
+    _checked_visible,
+    p_pass,
+    q_pass,
+    weighted_gradient,
+)
 
 __all__ = [
     "EnumerationLimitError",
@@ -193,9 +201,7 @@ def exact_grad_log_ptilde(model: BihmModel, x) -> ModelGradient:
     the normalizer comes from one pass over the latents, and the weighted
     gradients are added up block by block in a second.
     """
-    xs = np.asarray(x, dtype=np.float64)
-    if xs.ndim != 1 or xs.shape[0] != model.visible_dim:
-        raise ShapeError(f"x must be a length-{model.visible_dim} vector")
+    xs = _checked_visible(model, x, 1, "x")
     log_norm = _log_sqrt_ptilde(model, xs[None])[0]
     grad = ModelGradient.zeros_for(model)
     for _, _, layers in _blocks(model, 1):

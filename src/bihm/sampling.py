@@ -44,6 +44,9 @@ from bihm.model import (
     BihmModel,
     LatentConfig,
     ShapeError,
+    _check_binary,
+    _checked_latents,
+    _checked_visible,
     bernoulli_step,
     layer_log_prob,
     p_pass,
@@ -88,19 +91,13 @@ class GibbsState:
         x = np.asarray(self.x, dtype=np.float64)
         if x.ndim != 1:
             raise ShapeError(f"state x must be a vector, got shape {x.shape}")
-        if not np.all((x == 0.0) | (x == 1.0)):
-            raise ValueError("state x entries must be 0 or 1")
+        _check_binary("state x", x)
         object.__setattr__(self, "x", x)
 
 
 def _check_state(model: BihmModel, state: GibbsState) -> None:
-    if state.x.shape[0] != model.visible_dim:
-        raise ShapeError("state x length does not match the model")
-    if len(state.latents) != model.num_latent_layers:
-        raise ShapeError("state latent count does not match the model")
-    for i, h in enumerate(state.latents.layers):
-        if h.shape[0] != model.layer_sizes[i + 1]:
-            raise ShapeError(f"state latent layer {i + 1} has wrong size")
+    _checked_visible(model, state.x, 1, "state x")
+    _checked_latents(model, state.latents)
 
 
 def _categorical_rows(log_w: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -276,16 +273,6 @@ def gibbs_sample_chains(
 # ---------------------------------------------------------------------------
 
 
-def _check_mask(model: BihmModel, x_corrupt, mask):
-    x = np.asarray(x_corrupt, dtype=np.float64)
-    m = np.asarray(mask, dtype=np.float64)
-    if x.shape != (model.visible_dim,) or m.shape != (model.visible_dim,):
-        raise ShapeError("x_corrupt and mask must match the visible layer")
-    if not np.all((x == 0.0) | (x == 1.0)) or not np.all((m == 0.0) | (m == 1.0)):
-        raise ValueError("x_corrupt and mask entries must be 0 or 1")
-    return x, m
-
-
 def inpaint_chains(
     model: BihmModel,
     x_corrupt,
@@ -300,7 +287,10 @@ def inpaint_chains(
     Latents start from ``q(h | x_corrupt)`` and the chain runs with the
     observed bits clamped.
     """
-    x, m = _check_mask(model, x_corrupt, mask)
+    x = _checked_visible(model, x_corrupt, 1, "x_corrupt")
+    m = _checked_visible(model, mask, 1, "mask")
+    _check_binary("x_corrupt", x)
+    _check_binary("mask", m)
     if count < 1:
         raise ValueError("count must be positive")
 

@@ -28,6 +28,7 @@ from bihm.model import (
     BihmModel,
     ModelGradient,
     ShapeError,
+    _checked_visible,
     param_views,
     weighted_gradient,
     zero_model,
@@ -122,11 +123,7 @@ def minibatch_gradient(
     """
     if k < 1:
         raise ValueError("k must be positive")
-    x = np.asarray(batch, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] == 0 or x.shape[1] != model.visible_dim:
-        raise ShapeError(
-            f"batch must be a nonempty (rows, {model.visible_dim}) array, got shape {x.shape}"
-        )
+    x = _checked_visible(model, batch, 2, "batch")
     lw, p, q = log_weights(model, x, k=k, rng=rng, keep_means=True)
     w = np.exp(lw - lw.max(axis=1, keepdims=True))
     w /= w.sum(axis=1, keepdims=True)
@@ -168,17 +165,6 @@ def adam_update(
     return BihmModel._from_checked(model.layer_sizes, theta), AdamState(m, v, t)
 
 
-def _binary_rows(model: BihmModel, data, what: str) -> np.ndarray:
-    x = np.asarray(data, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] == 0:
-        raise ShapeError(f"{what} must be a nonempty 2-D array, got {x.shape}")
-    if x.shape[1] != model.visible_dim:
-        raise ShapeError(f"{what} has {x.shape[1]} columns, model expects {model.visible_dim}")
-    if not np.all((x == 0.0) | (x == 1.0)):
-        raise ValueError(f"{what} entries must be 0 or 1")
-    return x
-
-
 def train(
     model: BihmModel,
     dataset,
@@ -203,8 +189,9 @@ def train(
     Raises :class:`TrainingDiverged` if any parameter leaves the finite
     range; the message pinpoints the epoch and update.
     """
-    x = _binary_rows(model, dataset, "dataset")
-    valid_x = None if valid is None else _binary_rows(model, valid, "validation set")
+    x = _checked_visible(model, dataset, 2, "dataset", binary=True)
+    if valid is not None:
+        valid = _checked_visible(model, valid, 2, "validation set", binary=True)
 
     root = np.random.default_rng(config.seed)
     # One substream per purpose, split up front: reordering evaluation work
@@ -230,8 +217,8 @@ def train(
                 ) from exc
             updates += 1
         train_ll, _, train_ess = estimate_rows(model, x, config.k_train, eval_rng)
-        if valid_x is not None:
-            valid_ll = estimate_rows(model, valid_x, config.k_train, eval_rng)[0].mean()
+        if valid is not None:
+            valid_ll = estimate_rows(model, valid, config.k_train, eval_rng)[0].mean()
         else:
             valid_ll = float("nan")
         two_log_z = est_log_z2(model, ZEstimateConfig(z_outer, 1), eval_rng).value

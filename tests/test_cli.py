@@ -216,6 +216,34 @@ class TestEvalCommand:
         assert rc == 1
         assert err.startswith("error: ShapeError:")
 
+    def test_empty_dataset(self, workdir, tmp_path, capsys):
+        save_dataset(np.zeros((0, 16)), str(tmp_path / "empty.bbm"))
+        rc = main(
+            [
+                "eval",
+                "--model", str(workdir / "model.bihm"),
+                "--data", str(tmp_path / "empty.bbm"),
+            ]
+        )
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ShapeError:")
+
+    @pytest.mark.parametrize("k", ["0", "-3"])
+    def test_k_must_be_positive(self, workdir, capsys, k):
+        rc = main(
+            [
+                "eval",
+                "--model", str(workdir / "model.bihm"),
+                "--data", str(workdir / "bars_valid.bbm"),
+                "--estimator", "p",
+                "--k", k,
+            ]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err == "error: ValueError: k must be positive\n"
+
     def test_missing_model_file(self, workdir, capsys):
         rc = main(
             [
@@ -339,6 +367,23 @@ class TestSampleCommand:
         err = capsys.readouterr().err
         assert rc == 1
         assert err.startswith("error: ValueError:")
+
+    @pytest.mark.parametrize("gibbs", ["0", "2"])
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_count_must_be_positive(self, workdir, tmp_path, capsys, count, gibbs):
+        out_dir = tmp_path / "none"
+        rc = main(
+            [
+                "sample",
+                "--model", str(workdir / "model.bihm"),
+                "--count", count,
+                "--gibbs", gibbs,
+                "--out", str(out_dir),
+            ]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err == "error: ValueError: count must be positive\n"
+        assert not out_dir.exists()
 
     def test_non_square_needs_geometry(self, tmp_path, capsys):
         save_checkpoint(zero_model([6, 2]), {}, str(tmp_path / "six.bihm"))
