@@ -14,7 +14,7 @@ from bihm.model import (
     log_joint_p,
     log_q_given_x,
     random_model,
-    sample_p,
+    sample_p_batch,
     zero_model,
 )
 
@@ -39,18 +39,19 @@ print(f"  latent layers    {model.num_latent_layers}")
 print(f"  latent bits      {model.num_latent_bits}")
 print(f"  parameter blocks {[name for name, _ in model.param_items()]}")
 
-# Ancestral sampling runs the p stack from the prior downward.  The
-# visible marginal under p is whatever the stack induces; here we just
-# check that samples are binary and have sane per-pixel rates.
-draws = np.stack([sample_p(model, rng)[0] for _ in range(2000)])
+# Ancestral sampling runs the p stack from the prior downward, one row per
+# sample.  The visible marginal under p is whatever the stack induces; here
+# we just check that samples are binary and have sane per-pixel rates.
+draws, _ = sample_p_batch(model, 2000, rng)
 print("\n2000 ancestral samples")
 print(f"  unique values    {sorted(int(v) for v in np.unique(draws))}")
 print(f"  per-pixel means  {np.round(draws.mean(axis=0), 3)}")
 
 # The same latent configuration scores differently under the two joints;
-# their disagreement is exactly what training shrinks.
-x, latents = sample_p(model, rng)
-arrays = list(latents.layers)
+# their disagreement is exactly what training shrinks.  One sample is a
+# batch of one row.
+xs, layers = sample_p_batch(model, 1, rng)
+x, arrays = xs[0], [a[0] for a in layers]
 lp = log_joint_p(model, x, arrays)
 lq = log_q_given_x(model, x, arrays)
 print("\none sampled configuration")

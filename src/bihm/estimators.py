@@ -31,7 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from bihm.model import BihmModel, LatentConfig, _checked_latents, _checked_visible, p_pass, q_pass
+from bihm.model import (
+    BihmModel, LatentConfig, ShapeError, _checked_latents, _checked_visible, p_pass, q_pass
+)
 
 __all__ = [
     "EstimateWithError",
@@ -117,13 +119,17 @@ class WeightedSampleSet:
 
 
 def _stacked_layers(model: BihmModel, samples) -> list:
-    """Normalize samples to one (K, d_l) float array per latent layer."""
+    """Normalize samples to one (K, d_l) float array per latent layer, K >= 1 shared by all."""
     seq = list(samples)
     if not seq:
         raise ValueError("need at least one sample")
     if isinstance(seq[0], LatentConfig):
         seq = [np.stack(layer) for layer in zip(*(_checked_latents(model, s) for s in seq))]
-    return _checked_latents(model, seq, ndim=2)
+    layers = _checked_latents(model, seq, ndim=2)
+    counts = {a.shape[0] for a in layers}
+    if len(counts) != 1 or 0 in counts:
+        raise ShapeError(f"latent layers need one shared positive sample count, got {sorted(counts)}")
+    return layers
 
 
 def log_weights(model: BihmModel, x, layers=None, k: int = 1, rng=None, keep_means=False):
@@ -293,19 +299,27 @@ def est_log_pstar(model: BihmModel, x, k: int, log_z2, rng: np.random.Generator)
 # ---------------------------------------------------------------------------
 
 
+def _row_blocks(model: BihmModel, n: int, k: int):
+    """Yield ``(start, stop)`` blocks covering ``n`` rows of ``k`` samples each.
+
+    A block holds at most ``_BLOCK_FLOATS // (k * (visible + latent bits))``
+    rows (one at least), so its sample arrays stay under ``_BLOCK_FLOATS``
+    float64 entries.
+    """
+    block = max(1, _BLOCK_FLOATS // (k * (model.visible_dim + model.num_latent_bits)))
+    for start in range(0, n, block):
+        yield start, min(start + block, n)
+
+
 def _blocked_rows(model: BihmModel, n: int, k: int, log_terms):
     """Row-wise :func:`_log_mean_se` of ``n`` rows of ``k`` log terms, block by block.
 
     ``log_terms(start, stop)`` returns the ``(stop - start, k)`` terms of
-    those rows.  A block holds at most ``_BLOCK_FLOATS // (k * (visible +
-    latent bits))`` rows, so its sample arrays stay under ``_BLOCK_FLOATS``
-    float64 entries.  Returns ``(values, std_errors, ess)`` of length ``n``.
+    the rows of one :func:`_row_blocks` block.  Returns ``(values,
+    std_errors, ess)`` of length ``n``.
     """
-    per_row = k * (model.visible_dim + model.num_latent_bits)
-    block = max(1, _BLOCK_FLOATS // max(per_row, 1))
     out = np.empty((3, n))
-    for start in range(0, n, block):
-        stop = min(start + block, n)
+    for start, stop in _row_blocks(model, n, k):
         out[:, start:stop] = _log_mean_se(log_terms(start, stop))
     return out
 

@@ -15,9 +15,12 @@ sigmoid.  Parameters are float64 throughout.
 Every directed computation chains one layer step, :func:`bernoulli_step`: it
 takes the sigmoid mean of one activation, draws the layer when no target is
 given and scores the target.  :func:`q_pass` runs it bottom-up and
-:func:`p_pass` top-down, so each activation is computed once per pass; the
-log-probability and sampling functions below are shims over the step or the
-passes.
+:func:`p_pass` top-down, so each activation is computed once per pass.  The
+passes skip input checks; the public functions check their arguments and
+run one pass: :func:`log_joint_p` and :func:`log_q_given_x` score,
+:func:`sample_q_rows` and :func:`sample_p_batch` draw.  One visible vector is
+a one-row batch, ``x[None]``.  :func:`layer_log_prob` and
+:func:`layer_sample` run the step for a single layer.
 
 Array arguments may carry leading batch axes: log-probability functions reduce
 over the last axis only, so ``layer_log_prob(layer, V, T)`` with ``V`` of shape
@@ -40,22 +43,15 @@ __all__ = [
     "BihmModel",
     "FactorizedPrior",
     "LatentConfig",
-    "LayerGradient",
     "ModelGradient",
     "ShapeError",
     "SIGMOID_EPS",
-    "layer_grad",
     "layer_log_prob",
     "layer_sample",
     "log_joint_p",
     "log_q_given_x",
-    "prior_log_prob",
-    "prior_sample",
     "random_model",
-    "sample_p",
     "sample_p_batch",
-    "sample_q",
-    "sample_q_batch",
     "sample_q_rows",
     "zero_model",
 ]
@@ -335,14 +331,6 @@ class BihmModel:
         return BihmModel.from_params(self.layer_sizes, _flat_params(self.layer_sizes, arrays))
 
 
-@dataclass(frozen=True)
-class LayerGradient:
-    """Gradient of one layer's log-probability term."""
-
-    d_weights: np.ndarray
-    d_biases: np.ndarray
-
-
 @dataclass
 class ModelGradient:
     """Gradient with respect to every parameter of a model.
@@ -509,34 +497,6 @@ def layer_sample(layer: BeliefLayer, inputs, rng: np.random.Generator) -> np.nda
     return bernoulli_step(sigmoid(layer.activation(v)), rng=rng)[0]
 
 
-def prior_log_prob(prior: FactorizedPrior, h) -> np.ndarray:
-    """Log-probability of ``h`` under the factorized Bernoulli prior."""
-    t = _as_float_array(h)
-    _check_last_dim("prior target", t, prior.dim)
-    return bernoulli_step(sigmoid(prior.biases), t)[1]
-
-
-def prior_sample(prior: FactorizedPrior, shape, rng: np.random.Generator) -> np.ndarray:
-    """Sample from the prior; ``shape`` gives the leading batch dimensions."""
-    return bernoulli_step(sigmoid(prior.biases), rng=rng, shape=tuple(shape) + (prior.dim,))[0]
-
-
-def layer_grad(layer: BeliefLayer, inputs, targets) -> LayerGradient:
-    """Exact gradient of ``layer_log_prob`` for one (input, target) pair.
-
-    With ``mu = sigmoid(W v + b)``: the bias gradient is ``t - mu`` and the
-    weight gradient is the outer product ``(t - mu) v^T``.
-    """
-    v = _as_float_array(inputs)
-    t = _as_float_array(targets)
-    _check_last_dim("layer input", v, layer.in_dim)
-    _check_last_dim("layer target", t, layer.out_dim)
-    if v.ndim != 1 or t.ndim != 1:
-        raise ShapeError("layer_grad expects single vectors; batch paths accumulate directly")
-    delta = t - sigmoid(layer.activation(v))
-    return LayerGradient(d_weights=np.outer(delta, v), d_biases=delta)
-
-
 # ---------------------------------------------------------------------------
 # Joint log-probabilities and ancestral sampling
 # ---------------------------------------------------------------------------
@@ -595,20 +555,6 @@ def log_q_given_x(model: BihmModel, x, h) -> np.ndarray:
     return q_pass(model, *_checked_joint(model, x, h)).log_prob
 
 
-def sample_q_batch(model: BihmModel, x, k: int, rng: np.random.Generator) -> list:
-    """Draw ``k`` latent configurations from ``q(h | x)`` for one visible ``x``.
-
-    Returns one ``(k, d_l)`` array per latent layer, bottom-up.
-    """
-    return q_pass(model, _checked_visible(model, x, 1, "x"), k=k, rng=rng).layers
-
-
-def sample_q(model: BihmModel, x, rng: np.random.Generator) -> LatentConfig:
-    """Draw one latent configuration from ``q(h | x)``."""
-    layers = sample_q_batch(model, x, 1, rng)
-    return LatentConfig([a[0] for a in layers])
-
-
 def sample_q_rows(model: BihmModel, xs, k: int, rng: np.random.Generator) -> list:
     """Draw ``k`` configurations from ``q(h | x_n)`` for each row of ``xs``.
 
@@ -628,12 +574,6 @@ def sample_p_batch(model: BihmModel, k: int, rng: np.random.Generator):
     """
     drawn = p_pass(model, k=k, rng=rng)
     return drawn.x, drawn.layers
-
-
-def sample_p(model: BihmModel, rng: np.random.Generator):
-    """Draw one ``(x, h)`` pair from the top-down model."""
-    x, layers = sample_p_batch(model, 1, rng)
-    return x[0], LatentConfig([a[0] for a in layers])
 
 
 # ---------------------------------------------------------------------------

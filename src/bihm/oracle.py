@@ -159,12 +159,12 @@ def _log_p(model: BihmModel, xs) -> np.ndarray:
 
 def exact_log_ptilde(model: BihmModel, x) -> float:
     """``log ptilde(x)`` by summing ``sqrt(p(x,h) q(h|x))`` over every ``h``."""
-    return float(2.0 * _log_sqrt_ptilde(model, np.asarray(x, dtype=np.float64)[None])[0])
+    return float(2.0 * _log_sqrt_ptilde(model, _checked_visible(model, x, 1, "x")[None])[0])
 
 
 def exact_log_p(model: BihmModel, x) -> float:
     """Exact directed marginal ``log p(x) = log sum_h p(x, h)``."""
-    return float(_log_p(model, np.asarray(x, dtype=np.float64)[None])[0])
+    return float(_log_p(model, _checked_visible(model, x, 1, "x")[None])[0])
 
 
 def exact_log_ptilde_by_x(model: BihmModel) -> np.ndarray:

@@ -45,6 +45,7 @@ from bihm.model import (
     LatentConfig,
     ShapeError,
     _check_binary,
+    _check_last_dim,
     _checked_latents,
     _checked_visible,
     bernoulli_step,
@@ -317,6 +318,11 @@ def inpaint(
 
 
 def expected_visible(model: BihmModel, h1) -> np.ndarray:
-    """Mean of ``p(x | h_1)``: grayscale pixels instead of a hard sample."""
+    """Mean of ``p(x | h_1)``: grayscale pixels instead of a hard sample.
+
+    ``h1`` is one first-layer vector or any batch of them; a wrong width
+    raises :class:`ShapeError`.
+    """
     h = np.asarray(h1, dtype=np.float64)
+    _check_last_dim("h1", h, model.layer_sizes[1])
     return sigmoid(model.p_layers[0].activation(h))

@@ -23,7 +23,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from bihm.estimators import ZEstimateConfig, est_log_z2, estimate_rows, log_weights
+from bihm.estimators import ZEstimateConfig, _row_blocks, est_log_z2, estimate_rows, log_weights
 from bihm.model import (
     BihmModel,
     ModelGradient,
@@ -120,15 +120,22 @@ def minibatch_gradient(
     Per datapoint: draw ``h_1..h_K ~ q(. | x)``, softmax-normalize the
     log-weights ``(log p - log q) / 2``, and accumulate the weighted layer
     gradients of ``log p(x,h) + log q(h|x)``.  Batch axis is averaged.
+    Rows are drawn and weighed in the estimators' row blocks, so memory
+    follows their float budget (or one row of ``k`` samples, if larger),
+    not the batch size.
     """
     if k < 1:
         raise ValueError("k must be positive")
     x = _checked_visible(model, batch, 2, "batch")
-    lw, p, q = log_weights(model, x, k=k, rng=rng, keep_means=True)
-    w = np.exp(lw - lw.max(axis=1, keepdims=True))
-    w /= w.sum(axis=1, keepdims=True)
-    w /= x.shape[0]
-    return weighted_gradient(model, w, x[:, None, :], q.layers, p.means, q.means)
+    grad = ModelGradient.zeros_for(model)
+    for start, stop in _row_blocks(model, x.shape[0], k):
+        rows = x[start:stop]
+        lw, p, q = log_weights(model, rows, k=k, rng=rng, keep_means=True)
+        w = np.exp(lw - lw.max(axis=1, keepdims=True))
+        w /= w.sum(axis=1, keepdims=True)
+        w /= x.shape[0]
+        grad.params += weighted_gradient(model, w, rows[:, None, :], q.layers, p.means, q.means).params
+    return grad
 
 
 def adam_update(

@@ -26,7 +26,7 @@ from bihm.estimators import (
     log_p_from_weights,
     log_ptilde_from_weights,
 )
-from bihm.model import LatentConfig, ShapeError, random_model, sample_q_batch, zero_model
+from bihm.model import LatentConfig, ShapeError, random_model, sample_q_rows, zero_model
 from bihm.oracle import exact_log_p, exact_log_ptilde, exact_log_z2
 
 
@@ -82,7 +82,7 @@ class TestWeightedSampleSet:
     def test_config_list_matches_stacked(self):
         model = random_model([3, 2, 2], np.random.default_rng(5))
         x = np.array([1.0, 0.0, 1.0])
-        stacked = sample_q_batch(model, x, 6, np.random.default_rng(6))
+        stacked = [a[0] for a in sample_q_rows(model, x[None], 6, np.random.default_rng(6))]
         configs = [
             LatentConfig([layer[k] for layer in stacked]) for k in range(6)
         ]
@@ -98,6 +98,16 @@ class TestWeightedSampleSet:
             importance_weights(model, np.zeros(2), [])
         with pytest.raises(ValueError):
             draw_weighted_samples(model, np.zeros(2), 0, np.random.default_rng(0))
+
+    @pytest.mark.parametrize(
+        "layers",
+        [[np.zeros((0, 2))] * 2, [np.zeros((4, 2)), np.zeros((3, 2))]],
+        ids=["zero_samples", "ragged"],
+    )
+    def test_sample_counts_must_be_shared_and_positive(self, layers):
+        model = random_model([3, 2, 2], np.random.default_rng(7))
+        with pytest.raises(ShapeError):
+            importance_weights(model, np.zeros(3), layers)
 
 
 class TestExactlyUniformCase:

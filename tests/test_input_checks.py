@@ -17,8 +17,8 @@ from bihm.estimators import (
     est_log_ptilde_rows,
     importance_weights,
 )
-from bihm.model import LatentConfig, ShapeError, random_model, sample_q_batch, sample_q_rows
-from bihm.oracle import exact_grad_log_ptilde
+from bihm.model import LatentConfig, ShapeError, random_model, sample_q_rows
+from bihm.oracle import exact_grad_log_ptilde, exact_log_p, exact_log_ptilde
 from bihm.sampling import GibbsConfig, GibbsState, gibbs_sample, inpaint_chains
 from bihm.training import TrainConfig, minibatch_gradient, train
 
@@ -45,8 +45,9 @@ ENTRY_POINTS = {
         True,
         lambda x: train(MODEL, np.eye(3), TrainConfig(k_train=2, epochs=1), valid=x, z_outer=5),
     ),
-    "sample_q_batch": (1, False, lambda x: sample_q_batch(MODEL, x, 4, rng())),
     "sample_q_rows": (2, False, lambda x: sample_q_rows(MODEL, x, 4, rng())),
+    "exact_log_ptilde": (1, False, lambda x: exact_log_ptilde(MODEL, x)),
+    "exact_log_p": (1, False, lambda x: exact_log_p(MODEL, x)),
     "exact_grad_log_ptilde": (1, False, lambda x: exact_grad_log_ptilde(MODEL, x)),
     "inpaint_chains_x": (1, True, lambda x: inpaint_chains(MODEL, x, np.ones(3), 2, GIBBS, rng())),
     "inpaint_chains_mask": (

@@ -15,21 +15,20 @@ from bihm.model import (
     FactorizedPrior,
     LatentConfig,
     ShapeError,
+    bernoulli_step,
     clamped_sigmoid,
-    layer_grad,
     layer_log_prob,
     layer_sample,
     log_joint_p,
     log_q_given_x,
-    prior_log_prob,
-    prior_sample,
+    p_pass,
+    param_views,
+    q_pass,
     random_model,
-    sample_p,
     sample_p_batch,
-    sample_q,
-    sample_q_batch,
     sample_q_rows,
     sigmoid,
+    weighted_gradient,
     zero_model,
 )
 from bihm.estimators import est_log_ptilde_rows
@@ -41,6 +40,27 @@ def stack_latents(model, configs):
     """One (K, d_l) array per layer from a list of per-layer tuples."""
     L = model.num_latent_layers
     return [np.array([c[i] for c in configs], dtype=np.float64) for i in range(L)]
+
+
+def prior_log_prob(prior, h):
+    """Log-probability of ``h`` under the prior: the step :func:`p_pass` takes at the top."""
+    return bernoulli_step(sigmoid(prior.biases), np.asarray(h, dtype=np.float64))[1]
+
+
+def q1_gradient(layer, v, t):
+    """``weighted_gradient``'s entries for ``layer`` as the only q layer, at one (v, t) pair.
+
+    The pair gets unit weight, so the result is that layer's gradient of
+    ``layer_log_prob(layer, v, t)``: ``((t - mu) v^T, t - mu)``.
+    """
+    base = zero_model([layer.in_dim, layer.out_dim])
+    model = BihmModel(base.layer_sizes, base.prior, base.p_layers, (layer,))
+    x, h = v[None, None], [t[None, None]]
+    p = p_pass(model, x, h, keep_means=True)
+    q = q_pass(model, x, h, keep_means=True)
+    grad = weighted_gradient(model, np.ones((1, 1)), x, h, p.means, q.means)
+    views = param_views(grad.params, model.layer_sizes)
+    return views["q1.weights"], views["q1.biases"]
 
 
 class TestBeliefLayer:
@@ -161,8 +181,10 @@ class TestPrior:
         assert abs(total - 1.0) < 1e-12
 
     def test_shape_error(self):
+        # The scoring surface checks the top layer's width against the prior.
+        model = zero_model([2, 1, 2])
         with pytest.raises(ShapeError):
-            prior_log_prob(FactorizedPrior(np.zeros(2)), np.zeros(3))
+            log_joint_p(model, np.zeros(2), [np.zeros(1), np.zeros(3)])
 
 
 class TestLayerSample:
@@ -197,7 +219,8 @@ class TestLayerSample:
 
     def test_prior_sample(self):
         prior = FactorizedPrior(np.zeros(3))
-        draws = prior_sample(prior, (2000,), np.random.default_rng(4))
+        mu = sigmoid(prior.biases)
+        draws = bernoulli_step(mu, rng=np.random.default_rng(4), shape=(2000, prior.dim))[0]
         assert draws.shape == (2000, 3)
         assert np.all(np.abs(draws.mean(axis=0) - 0.5) < 0.05)
 
@@ -288,8 +311,9 @@ class TestAncestralSampling:
 
     def test_zero_model_latent_means(self):
         model = zero_model([3, 2])
-        layers = sample_q_batch(model, np.array([1.0, 0.0, 1.0]), 100_000, np.random.default_rng(15))
-        assert np.all(np.abs(layers[0].mean(axis=0) - 0.5) < 0.01)
+        x = np.array([[1.0, 0.0, 1.0]])
+        layers = sample_q_rows(model, x, 100_000, np.random.default_rng(15))
+        assert np.all(np.abs(layers[0][0].mean(axis=0) - 0.5) < 0.01)
 
     def test_joint_frequencies_match_enumeration(self):
         # Empirical (x, h) frequencies from ancestral sampling agree with the
@@ -308,15 +332,6 @@ class TestAncestralSampling:
                 emp = counts[4 * x_bits[0] + 2 * x_bits[1] + hi] / n
                 se = math.sqrt(prob * (1 - prob) / n)
                 assert abs(emp - prob) < 4 * se
-
-    def test_single_sample_wrappers(self):
-        model = zero_model([3, 2, 2])
-        rng = np.random.default_rng(17)
-        x, h = sample_p(model, rng)
-        assert x.shape == (3,)
-        assert len(h) == 2
-        h2 = sample_q(model, x, rng)
-        assert [a.shape for a in h2.layers] == [(2,), (2,)]
 
     def test_sample_q_rows_shapes(self):
         model = zero_model([3, 2, 2])
@@ -358,25 +373,25 @@ class TestOneActivationPerLayer:
 class TestLayerGrad:
     def test_half_mean_example(self):
         layer = BeliefLayer(np.zeros((2, 3)), np.zeros(2))
-        g = layer_grad(layer, np.array([1.0, 1.0, 0.0]), np.array([1.0, 0.0]))
-        assert_array_equal(g.d_biases, [0.5, -0.5])
-        assert_array_equal(g.d_weights, [[0.5, 0.5, 0.0], [-0.5, -0.5, 0.0]])
+        d_weights, d_biases = q1_gradient(layer, np.array([1.0, 1.0, 0.0]), np.array([1.0, 0.0]))
+        assert_array_equal(d_biases, [0.5, -0.5])
+        assert_array_equal(d_weights, [[0.5, 0.5, 0.0], [-0.5, -0.5, 0.0]])
 
     def test_stationary_at_mean(self):
         rng = np.random.default_rng(19)
         layer = BeliefLayer(rng.normal(size=(2, 3)), rng.normal(size=2))
         v = np.array([1.0, 0.0, 1.0])
-        mu = sigmoid(layer.activation(v))
-        g = layer_grad(layer, v, mu)
-        assert_array_equal(g.d_biases, np.zeros(2))
-        assert_array_equal(g.d_weights, np.zeros((2, 3)))
+        mu = sigmoid(layer.activation(v[None, None]))[0, 0]
+        d_weights, d_biases = q1_gradient(layer, v, mu)
+        assert_array_equal(d_biases, np.zeros(2))
+        assert_array_equal(d_weights, np.zeros((2, 3)))
 
     def test_finite_differences(self):
         rng = np.random.default_rng(20)
         layer = BeliefLayer(rng.normal(size=(2, 3)), rng.normal(size=2))
         v = np.array([1.0, 0.0, 1.0])
         t = np.array([0.0, 1.0])
-        g = layer_grad(layer, v, t)
+        d_weights, d_biases = q1_gradient(layer, v, t)
         eps = 1e-5
         w = layer.weights.copy()
         b = layer.biases.copy()
@@ -388,20 +403,15 @@ class TestLayerGrad:
                 lo = layer_log_prob(BeliefLayer(w, b), v, t)
                 w[i, j] += eps
                 fd = (hi - lo) / (2 * eps)
-                scale = max(abs(fd), abs(g.d_weights[i, j]), 1e-8)
-                assert abs(fd - g.d_weights[i, j]) / scale < 1e-6
+                scale = max(abs(fd), abs(d_weights[i, j]), 1e-8)
+                assert abs(fd - d_weights[i, j]) / scale < 1e-6
             b[i] += eps
             hi = layer_log_prob(BeliefLayer(w, b), v, t)
             b[i] -= 2 * eps
             lo = layer_log_prob(BeliefLayer(w, b), v, t)
             b[i] += eps
             fd = (hi - lo) / (2 * eps)
-            assert abs(fd - g.d_biases[i]) / max(abs(fd), 1e-8) < 1e-6
-
-    def test_rejects_batches(self):
-        layer = BeliefLayer(np.zeros((2, 3)), np.zeros(2))
-        with pytest.raises(ShapeError):
-            layer_grad(layer, np.zeros((4, 3)), np.zeros((4, 2)))
+            assert abs(fd - d_biases[i]) / max(abs(fd), 1e-8) < 1e-6
 
 
 class TestModelConstruction:

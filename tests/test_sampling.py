@@ -304,3 +304,10 @@ class TestExpectedVisible:
         out = expected_visible(model, np.zeros((5, 3)))
         assert out.shape == (5, 4)
         assert_array_equal(out, np.full((5, 4), 0.5))
+
+    def test_wrong_width_rejected(self):
+        model = zero_model([3, 2, 2])
+        with pytest.raises(ShapeError):
+            expected_visible(model, np.zeros(3))
+        with pytest.raises(ShapeError):
+            expected_visible(model, np.zeros((5, 1)))

@@ -1,21 +1,23 @@
 """Importance-weighted wake-sleep style training: gradients, Adam, full loop."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from bihm import estimators
 from bihm.model import (
     LatentConfig,
     ModelGradient,
     ShapeError,
-    layer_grad,
     log_joint_p,
     log_q_given_x,
     param_views,
     random_model,
     sample_q_rows,
+    sigmoid,
     zero_model,
 )
 from bihm.oracle import exact_grad_log_ptilde
@@ -42,6 +44,12 @@ METRIC_KEYS = {
 
 def flatten_gradient(grad):
     return np.concatenate([a.ravel() for _, a in grad.param_items()])
+
+
+def layer_gradient(layer, v, t):
+    """Gradient of one layer's ``log p(t | v)`` for single vectors: ``((t - mu) v^T, t - mu)``."""
+    delta = t - sigmoid(layer.activation(v))
+    return np.outer(delta, v), delta
 
 
 class TestTrainConfig:
@@ -134,8 +142,6 @@ class TestMinibatchGradient:
             for k in range(4):
                 h1, h2 = layers[0][i, k], layers[1][i, k]
                 scale = w[k] / b
-                from bihm.model import sigmoid
-
                 expected["prior.biases"] += scale * (h2 - sigmoid(model.prior.biases))
                 for name, layer, inp, tgt in (
                     ("p2", model.p_layers[1], h2, h1),
@@ -143,9 +149,9 @@ class TestMinibatchGradient:
                     ("q1", model.q_layers[0], x, h1),
                     ("q2", model.q_layers[1], h1, h2),
                 ):
-                    g = layer_grad(layer, inp, tgt)
-                    expected[name + ".weights"] += scale * g.d_weights
-                    expected[name + ".biases"] += scale * g.d_biases
+                    d_weights, d_biases = layer_gradient(layer, inp, tgt)
+                    expected[name + ".weights"] += scale * d_weights
+                    expected[name + ".biases"] += scale * d_biases
         for name, a in grad.param_items():
             assert np.all(np.abs(a - expected[name]) < 1e-12), name
 
@@ -176,6 +182,33 @@ class TestMinibatchGradient:
         cosine = est @ exact / (np.linalg.norm(est) * np.linalg.norm(exact))
         assert cosine >= 0.99
         assert np.linalg.norm(est - exact) <= 0.1 * np.linalg.norm(exact)
+
+    def test_row_blocks_match_one_row_calls(self, monkeypatch):
+        # With one row per block, the rows draw in turn from the generator
+        # and their gradients add up to the mean of one-row minibatches.
+        model = random_model([6, 4, 3], np.random.default_rng(78))
+        batch = (np.random.default_rng(79).random((5, 6)) < 0.5).astype(np.float64)
+        k = 7
+        monkeypatch.setattr(estimators, "_BLOCK_FLOATS", k * sum(model.layer_sizes))
+        grad = minibatch_gradient(model, batch, k, np.random.default_rng(80))
+        rng = np.random.default_rng(80)
+        rows = [minibatch_gradient(model, row[None], k, rng).params for row in batch]
+        assert np.all(np.abs(grad.params - np.mean(rows, axis=0)) < 1e-12)
+
+    def test_memory_bounded_by_block_budget(self, monkeypatch):
+        # One row per block: the peak follows the block budget, not batch x K.
+        model = random_model([20, 10, 5], np.random.default_rng(81))
+        batch = (np.random.default_rng(82).random((64, 20)) < 0.5).astype(np.float64)
+        k = 200
+        budget = k * sum(model.layer_sizes)
+        monkeypatch.setattr(estimators, "_BLOCK_FLOATS", budget)
+        tracemalloc.start()
+        try:
+            minibatch_gradient(model, batch, k, np.random.default_rng(83))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * (8 * budget + 4 * model.params.size)
 
     def test_validation(self):
         model = zero_model([3, 2])
