@@ -53,8 +53,12 @@ __all__ = [
     "ess_pct",
 ]
 
-# Float budget of the sample arrays of one block of rows (or outer samples).
-_BLOCK_FLOATS = 2**22
+# Float budget of one tile: rows x samples x (visible + latent bits), the
+# floats of the drawn sample arrays.  The estimators tile by it, and so do the
+# row blocks of ``training.minibatch_gradient``.  A tile's real peak is about
+# 5.5-6x that, not 1x: the two passes keep their means, their score buffers
+# and the drawn layers alive at once, and the gradient adds its deltas.
+_BLOCK_FLOATS = 2**18
 
 
 @dataclass(frozen=True)
@@ -153,17 +157,23 @@ def importance_weights(model: BihmModel, x, samples) -> WeightedSampleSet:
     """Weight the given latent samples for visible vector ``x``.
 
     ``samples`` is a nonempty list of latent configurations (or equivalently
-    one stacked ``(K, d_l)`` array per layer).  Deterministic given inputs.
+    one stacked ``(K, d_l)`` array per layer).  ``x`` and the samples must
+    be 0 or 1.  Deterministic given inputs.
     """
     layers = _stacked_layers(model, samples)
-    return _weighted_set(layers, log_weights(model, _checked_visible(model, x, 1, "x"), layers)[0])
+    xs = _checked_visible(model, x, 1, "x", binary=True)
+    return _weighted_set(layers, log_weights(model, xs, layers)[0])
 
 
 def draw_weighted_samples(model: BihmModel, x, k: int, rng: np.random.Generator) -> WeightedSampleSet:
-    """Draw ``k`` samples from ``q(h | x)`` and weight them."""
+    """Draw ``k`` samples from ``q(h | x)`` and weight them.
+
+    All ``k`` samples are returned, so memory grows with ``k``; the
+    ``est_log_*`` estimators draw in tiles instead.
+    """
     if k < 1:
         raise ValueError("k must be positive")
-    log_w, _, q = log_weights(model, _checked_visible(model, x, 1, "x"), k=k, rng=rng)
+    log_w, _, q = log_weights(model, _checked_visible(model, x, 1, "x", binary=True), k=k, rng=rng)
     return _weighted_set(q.layers, log_w)
 
 
@@ -179,19 +189,24 @@ def _log_mean_se(log_terms: np.ndarray):
     is ``SE(m) / m``, computed as ``std(u) / (sqrt(K) mean(u))`` on the
     shifted terms ``u``, which is invariant to the shift; the effective
     sample size is ``(sum u)^2 / sum u^2``.  Returns three arrays of the
-    leading shape.
+    leading shape.  The one temporary of the shape of ``log_terms`` holds
+    ``u``, then its deviations from the mean, as ``numpy.std`` computes them.
     """
     k = log_terms.shape[-1]
     m = log_terms.max(axis=-1, keepdims=True)
-    u = np.exp(log_terms - m)
+    u = np.subtract(log_terms, m)
+    np.exp(u, out=u)
     total = u.sum(axis=-1)
     mean_u = total / k
     values = m[..., 0] + np.log(mean_u)
+    ess_rows = total * total / np.einsum("...k,...k->...", u, u)
     if k < 2:
         ses = np.zeros_like(values)
     else:
-        ses = u.std(axis=-1, ddof=1) / (np.sqrt(k) * mean_u)
-    return values, ses, total * total / np.einsum("...k,...k->...", u, u)
+        u -= mean_u[..., None]
+        np.multiply(u, u, out=u)
+        ses = np.sqrt(u.sum(axis=-1) / (k - 1)) / (np.sqrt(k) * mean_u)
+    return values, ses, ess_rows
 
 
 def _checked_log_terms(log_terms, what: str) -> np.ndarray:
@@ -236,14 +251,28 @@ def log_p_from_weights(log_w: np.ndarray) -> EstimateWithError:
     return EstimateWithError(value, se, lw.shape[0])
 
 
+def _estimate_one(model: BihmModel, x, k: int, rng, squared: bool) -> EstimateWithError:
+    """Row 0 of :func:`estimate_rows` on ``x[None]``, for one visible vector ``x``."""
+    xs = _checked_visible(model, x, 1, "x", binary=True)[None]
+    values, ses, _ = estimate_rows(model, xs, k, rng, squared)
+    return EstimateWithError(float(values[0]), float(ses[0]), k)
+
+
 def est_log_ptilde(model: BihmModel, x, k: int, rng: np.random.Generator) -> EstimateWithError:
-    """Estimate ``log ptilde(x)`` from ``k`` recognition samples."""
-    return log_ptilde_from_weights(draw_weighted_samples(model, x, k, rng).log_w)
+    """Estimate ``log ptilde(x)`` from ``k`` recognition samples.
+
+    The one-row case of :func:`est_log_ptilde_rows`: the samples are drawn
+    in tiles, so memory does not grow with ``k``.
+    """
+    return _estimate_one(model, x, k, rng, squared=False)
 
 
 def est_log_p(model: BihmModel, x, k: int, rng: np.random.Generator) -> EstimateWithError:
-    """Estimate the directed marginal ``log p(x)`` from ``k`` recognition samples."""
-    return log_p_from_weights(draw_weighted_samples(model, x, k, rng).log_w)
+    """Estimate the directed marginal ``log p(x)`` from ``k`` recognition samples.
+
+    The one-row case of :func:`est_log_p_rows`.
+    """
+    return _estimate_one(model, x, k, rng, squared=True)
 
 
 def est_log_z2(model: BihmModel, config: ZEstimateConfig, rng: np.random.Generator) -> EstimateWithError:
@@ -257,23 +286,31 @@ def est_log_z2(model: BihmModel, config: ZEstimateConfig, rng: np.random.Generat
     inner correlation is accounted for.  The log of an unbiased estimate
     underestimates ``log Z^2`` on average.
 
-    Outer samples are drawn and scored in blocks whose sample arrays stay
-    under ``_BLOCK_FLOATS`` floats, so memory is bounded whatever
-    ``k_outer``; blocks merge through the per-outer-sample log-means.
+    Each outer sample is a row of :func:`_blocked_rows`: the outer draws of
+    a block of rows are made and scored once, and their inner samples are
+    drawn tile by tile against them, so the sample arrays stay under
+    ``_BLOCK_FLOATS`` floats whatever ``k_outer`` and ``k_inner``.  What
+    grows with ``k_outer`` is the per-outer-sample log-means, a few floats
+    each.
     """
     ko, ki = config.k_outer, config.k_inner
 
-    def log_terms(start, stop):
+    def row_block(start, stop):
         outer = p_pass(model, k=stop - start, rng=rng)
         lq_outer = q_pass(model, outer.x, outer.layers).log_prob
-        _, p_inner, q_inner = log_weights(model, outer.x, k=ki, rng=rng)
-        # Grouped as differences of like terms: when p = q the ratio is exactly 1
-        # and the estimate is exactly zero.
-        return 0.5 * (
-            (p_inner.log_prob - outer.log_prob[:, None]) + (lq_outer[:, None] - q_inner.log_prob)
-        )
 
-    per_outer = _blocked_rows(model, ko, ki, log_terms)[0]
+        def tile(m):
+            _, p_inner, q_inner = log_weights(model, outer.x, k=m, rng=rng)
+            # Grouped as differences of like terms: when p = q the ratio is
+            # exactly 1 and the estimate is exactly zero.
+            return 0.5 * (
+                (p_inner.log_prob - outer.log_prob[:, None])
+                + (lq_outer[:, None] - q_inner.log_prob)
+            )
+
+        return tile
+
+    per_outer = _blocked_rows(model, ko, ki, row_block)[0]
     value, se = _vector_log_mean_se(per_outer)
     return EstimateWithError(value, se, ko * ki)
 
@@ -300,27 +337,39 @@ def est_log_pstar(model: BihmModel, x, k: int, log_z2, rng: np.random.Generator)
 
 
 def _row_blocks(model: BihmModel, n: int, k: int):
-    """Yield ``(start, stop)`` blocks covering ``n`` rows of ``k`` samples each.
+    """Yield ``(start, stop, tiles)`` blocks covering ``n`` rows of ``k`` samples each.
 
-    A block holds at most ``_BLOCK_FLOATS // (k * (visible + latent bits))``
-    rows (one at least), so its sample arrays stay under ``_BLOCK_FLOATS``
-    float64 entries.
+    A block holds ``_BLOCK_FLOATS // (k * (visible + latent bits))`` rows,
+    so its sample arrays stay under ``_BLOCK_FLOATS`` float64 entries.
+    ``tiles`` lists the ``(a, b)`` sample ranges of a row: the one range
+    ``(0, k)`` when a row fits the budget, and otherwise (each row then a
+    block of its own) ranges that each fit it.
     """
-    block = max(1, _BLOCK_FLOATS // (k * (model.visible_dim + model.num_latent_bits)))
+    row_floats = model.visible_dim + model.num_latent_bits
+    block = max(1, _BLOCK_FLOATS // (k * row_floats))
+    tile = min(k, max(1, _BLOCK_FLOATS // row_floats))
+    tiles = [(a, min(a + tile, k)) for a in range(0, k, tile)]
     for start in range(0, n, block):
-        yield start, min(start + block, n)
+        yield start, min(start + block, n), tiles
 
 
-def _blocked_rows(model: BihmModel, n: int, k: int, log_terms):
-    """Row-wise :func:`_log_mean_se` of ``n`` rows of ``k`` log terms, block by block.
+def _blocked_rows(model: BihmModel, n: int, k: int, row_block):
+    """Row-wise :func:`_log_mean_se` of ``n`` rows of ``k`` log terms, tile by tile.
 
-    ``log_terms(start, stop)`` returns the ``(stop - start, k)`` terms of
-    the rows of one :func:`_row_blocks` block.  Returns ``(values,
-    std_errors, ess)`` of length ``n``.
+    ``row_block(start, stop)`` sets up the rows of one :func:`_row_blocks`
+    block and returns ``tile(m)``, which draws ``m`` more samples for each
+    of those rows and returns their ``(stop - start, m)`` log terms.  The
+    tiles of a row fill its columns of one ``(rows, k)`` array, so
+    :func:`_log_mean_se` sees whole rows.  Returns ``(values, std_errors,
+    ess)`` of length ``n``.
     """
     out = np.empty((3, n))
-    for start, stop in _row_blocks(model, n, k):
-        out[:, start:stop] = _log_mean_se(log_terms(start, stop))
+    for start, stop, tiles in _row_blocks(model, n, k):
+        tile = row_block(start, stop)
+        terms = np.empty((stop - start, k))
+        for a, b in tiles:
+            terms[:, a:b] = tile(b - a)
+        out[:, start:stop] = _log_mean_se(terms)
     return out
 
 
@@ -328,18 +377,24 @@ def estimate_rows(model: BihmModel, xs, k: int, rng, squared=False):
     """Per-row ``log ptilde`` estimates (``log p`` if ``squared``), SEs and ESS.
 
     The row-batched core behind :func:`est_log_ptilde_rows`,
-    :func:`est_log_p_rows` and the training epoch evaluation.  ``ess`` is
-    that of the weights ``exp(log_w)``, or of their squares if ``squared``.
+    :func:`est_log_p_rows`, the single-vector :func:`est_log_ptilde` and
+    :func:`est_log_p`, and the training epoch evaluation.  ``ess`` is that
+    of the weights ``exp(log_w)``, or of their squares if ``squared``.
     """
-    x = _checked_visible(model, xs, 2, "dataset")
+    x = _checked_visible(model, xs, 2, "dataset", binary=True)
     if k < 1:
         raise ValueError("k must be positive")
 
-    def log_terms(start, stop):
-        log_w = log_weights(model, x[start:stop], k=k, rng=rng)[0]
-        return 2.0 * log_w if squared else log_w
+    def row_block(start, stop):
+        rows = x[start:stop]
 
-    values, ses, ess_rows = _blocked_rows(model, x.shape[0], k, log_terms)
+        def tile(m):
+            log_w = log_weights(model, rows, k=m, rng=rng)[0]
+            return 2.0 * log_w if squared else log_w
+
+        return tile
+
+    values, ses, ess_rows = _blocked_rows(model, x.shape[0], k, row_block)
     if not squared:
         values, ses = 2.0 * values, 2.0 * ses
     return values, ses, ess_rows
@@ -348,9 +403,11 @@ def estimate_rows(model: BihmModel, xs, k: int, rng, squared=False):
 def est_log_ptilde_rows(model: BihmModel, xs, k: int, rng: np.random.Generator):
     """``est_log_ptilde`` for every row of a dataset, vectorized.
 
-    Returns ``(values, std_errors)`` arrays of length ``rows``.  Work is
-    chunked so intermediate sample arrays stay under ``_BLOCK_FLOATS``
-    float64 entries.
+    Returns ``(values, std_errors)`` arrays of length ``rows``.  Rows are
+    drawn in blocks, and a row whose ``k`` samples exceed ``_BLOCK_FLOATS``
+    floats in sample tiles, so the sample arrays stay under that budget
+    whatever ``k``; beyond them memory holds the ``(rows, k)`` log-weights
+    of one block.
     """
     return estimate_rows(model, xs, k, rng)[:2]
 

@@ -63,9 +63,9 @@ class ShapeError(ValueError):
     """An argument's dimensions do not match the layer or model."""
 
 
-def sigmoid(a):
-    """Logistic function, unclamped."""
-    return expit(a)
+def sigmoid(a, out=None):
+    """Logistic function, unclamped; ``out=a`` takes it in place."""
+    return expit(a, out=out)
 
 
 def clamped_sigmoid(a):
@@ -122,7 +122,14 @@ class BeliefLayer:
 
     def activation(self, inputs: np.ndarray) -> np.ndarray:
         """Pre-sigmoid logits ``W v + b`` for inputs with last dim ``in_dim``."""
-        return inputs @ self.weights.T + self.biases
+        out = inputs @ self.weights.T
+        out += self.biases
+        return out
+
+    def mean(self, inputs: np.ndarray) -> np.ndarray:
+        """Unclamped Bernoulli means ``sigmoid(W v + b)``, taken in place on the fresh logits."""
+        a = self.activation(inputs)
+        return sigmoid(a, out=a)
 
 
 @dataclass(frozen=True)
@@ -364,17 +371,21 @@ def bernoulli_step(mu, targets=None, rng=None, shape=None, keep_mean=False):
     """Draw ``targets`` from ``Bernoulli(mu)`` when none are given, then score them.
 
     Draws have shape ``shape`` (default ``mu.shape``; ``mu`` broadcasts to
-    it).  The log-probability ``sum_i [t_i log mu_i + (1 - t_i) log(1 - mu_i)]``
-    reduces the last axis, with ``mu`` clamped to ``[SIGMOID_EPS, 1 -
-    SIGMOID_EPS]``.  Returns ``(targets, log_prob, mean)``.  With
-    ``keep_mean`` the clamp works on a copy and ``mean`` is the unclamped
-    ``mu`` that gradients need; otherwise ``mu`` is clamped in place and
-    ``mean`` is None.
+    it).  Targets must be 0 or 1; the public entry points check this, and
+    the step itself does not.  Each target is scored by the probability the
+    clamped mean ``c = clip(mu, SIGMOID_EPS, 1 - SIGMOID_EPS)`` gives it,
+    ``|(1 - t) - c|`` (``c`` if ``t = 1``, ``1 - c`` if ``t = 0``), with one
+    log per unit, and the log-probability sums the last axis.  Returns
+    ``(targets, log_prob, mean)``.  With ``keep_mean`` the clamp works on a
+    copy and ``mean`` is the unclamped ``mu`` that gradients need; otherwise
+    ``mu`` is clamped in place and ``mean`` is None.
     """
     if targets is None:
         targets = (rng.random(mu.shape if shape is None else shape) < mu).astype(np.float64)
     clamped = np.clip(mu, SIGMOID_EPS, 1.0 - SIGMOID_EPS, out=None if keep_mean else mu)
-    log_prob = np.sum(targets * np.log(clamped) + (1.0 - targets) * np.log1p(-clamped), axis=-1)
+    prob = np.subtract(1.0 - targets, clamped)
+    np.abs(prob, out=prob)
+    log_prob = np.log(prob, out=prob).sum(axis=-1)
     return targets, log_prob, (mu if keep_mean else None)
 
 
@@ -407,7 +418,7 @@ def q_pass(model: BihmModel, x, layers=None, k: int = 1, rng=None, keep_means=Fa
     below = x[..., None, :] if layers is None else x
     drawn, means, log_q = [], [], 0.0
     for i, layer in enumerate(model.q_layers):
-        mu = sigmoid(layer.activation(below))
+        mu = layer.mean(below)
         if layers is None:
             shape = mu.shape[:-2] + (k, mu.shape[-1]) if i == 0 else None
             below, lq, mean = bernoulli_step(mu, None, rng, shape, keep_means)
@@ -432,7 +443,7 @@ def p_pass(model: BihmModel, x=None, layers=None, k: int = 1, rng=None, keep_mea
     mu = sigmoid(model.prior.biases)
     hs[L], terms[L], means[L] = bernoulli_step(mu, hs[L], rng, (k,) + mu.shape, keep_means)
     for i in range(L - 1, -1, -1):
-        mu = sigmoid(model.p_layers[i].activation(hs[i + 1]))
+        mu = model.p_layers[i].mean(hs[i + 1])
         hs[i], terms[i], means[i] = bernoulli_step(mu, hs[i], rng, None, keep_means)
     log_p = terms[L]
     for term in terms[:L]:
@@ -481,20 +492,22 @@ def layer_log_prob(layer: BeliefLayer, inputs, targets) -> np.ndarray:
 
     Computes ``sum_i [t_i log mu_i + (1 - t_i) log(1 - mu_i)]`` with
     ``mu = sigmoid(W v + b)`` clamped away from 0 and 1, so the result is
-    always finite and nonpositive.  Leading batch axes broadcast.
+    always finite and nonpositive.  Targets must be 0 or 1.  Leading batch
+    axes broadcast.
     """
     v = _as_float_array(inputs)
     t = _as_float_array(targets)
     _check_last_dim("layer input", v, layer.in_dim)
     _check_last_dim("layer target", t, layer.out_dim)
-    return bernoulli_step(sigmoid(layer.activation(v)), t)[1]
+    _check_binary("layer target", t)
+    return bernoulli_step(layer.mean(v), t)[1]
 
 
 def layer_sample(layer: BeliefLayer, inputs, rng: np.random.Generator) -> np.ndarray:
     """Draw each output bit independently from ``Bernoulli(sigmoid(W v + b))``."""
     v = _as_float_array(inputs)
     _check_last_dim("layer input", v, layer.in_dim)
-    return bernoulli_step(sigmoid(layer.activation(v)), rng=rng)[0]
+    return bernoulli_step(layer.mean(v), rng=rng)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -518,25 +531,34 @@ def _checked_visible(model: BihmModel, x, ndim: int, what: str, binary=False) ->
 
 
 def _checked_latents(model: BihmModel, h, ndim=None) -> list:
-    """The layers of ``h``, bottom-up, as float arrays, their count and widths checked.
+    """The layers of ``h``, bottom-up, as float arrays, their count, widths and entries checked.
 
     ``h`` is a :class:`LatentConfig` or one array per latent layer; leading
-    batch axes are free unless ``ndim`` fixes each layer's axis count.
+    batch axes are free unless ``ndim`` fixes each layer's axis count.  Every
+    entry must be 0 or 1 (a ``LatentConfig`` checked that when it was made).
     """
-    hs = list(h.layers) if isinstance(h, LatentConfig) else [_as_float_array(a) for a in h]
+    config = isinstance(h, LatentConfig)
+    hs = list(h.layers) if config else [_as_float_array(a) for a in h]
     if len(hs) != model.num_latent_layers:
         raise ShapeError(f"expected {model.num_latent_layers} latent layers, got {len(hs)}")
     for i, a in enumerate(hs):
         _check_last_dim(f"latent layer {i + 1}", a, model.layer_sizes[i + 1])
         if ndim is not None and a.ndim != ndim:
             raise ShapeError(f"latent layer {i + 1} must have {ndim} axes, got shape {a.shape}")
+        if not config:
+            _check_binary(f"latent layer {i + 1}", a)
     return hs
 
 
-def _checked_joint(model: BihmModel, x, h):
-    """``x`` and the latent layers of ``h`` as float arrays, their last dimensions checked."""
+def _checked_joint(model: BihmModel, x, h, score_x: bool):
+    """``x`` and the latent layers of ``h`` as float arrays, their last dimensions checked.
+
+    The scored targets must be 0 or 1: the latent layers always, ``x`` if ``score_x``.
+    """
     xs = _as_float_array(x)
     _check_last_dim("visible input", xs, model.visible_dim)
+    if score_x:
+        _check_binary("visible input", xs)
     return xs, _checked_latents(model, h)
 
 
@@ -545,14 +567,18 @@ def log_joint_p(model: BihmModel, x, h) -> np.ndarray:
 
     ``log p(x, h) = log p(h_L) + sum_l log p(h_{l-1} | h_l)`` with
     ``h_0 = x``.  Accepts a :class:`LatentConfig` or a sequence of layer
-    arrays; leading batch axes broadcast across all of them.
+    arrays; leading batch axes broadcast across all of them.  ``x`` and
+    ``h`` must be 0 or 1.
     """
-    return p_pass(model, *_checked_joint(model, x, h)).log_prob
+    return p_pass(model, *_checked_joint(model, x, h, score_x=True)).log_prob
 
 
 def log_q_given_x(model: BihmModel, x, h) -> np.ndarray:
-    """Log of the bottom-up conditional ``q(h | x)``, layer by layer upward."""
-    return q_pass(model, *_checked_joint(model, x, h)).log_prob
+    """Log of the bottom-up conditional ``q(h | x)``, layer by layer upward.
+
+    ``h`` must be 0 or 1; ``x`` is only conditioned on.
+    """
+    return q_pass(model, *_checked_joint(model, x, h, score_x=False)).log_prob
 
 
 def sample_q_rows(model: BihmModel, xs, k: int, rng: np.random.Generator) -> list:

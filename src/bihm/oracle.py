@@ -159,12 +159,13 @@ def _log_p(model: BihmModel, xs) -> np.ndarray:
 
 def exact_log_ptilde(model: BihmModel, x) -> float:
     """``log ptilde(x)`` by summing ``sqrt(p(x,h) q(h|x))`` over every ``h``."""
-    return float(2.0 * _log_sqrt_ptilde(model, _checked_visible(model, x, 1, "x")[None])[0])
+    xs = _checked_visible(model, x, 1, "x", binary=True)
+    return float(2.0 * _log_sqrt_ptilde(model, xs[None])[0])
 
 
 def exact_log_p(model: BihmModel, x) -> float:
     """Exact directed marginal ``log p(x) = log sum_h p(x, h)``."""
-    return float(_log_p(model, _checked_visible(model, x, 1, "x")[None])[0])
+    return float(_log_p(model, _checked_visible(model, x, 1, "x", binary=True)[None])[0])
 
 
 def exact_log_ptilde_by_x(model: BihmModel) -> np.ndarray:
@@ -201,7 +202,7 @@ def exact_grad_log_ptilde(model: BihmModel, x) -> ModelGradient:
     the normalizer comes from one pass over the latents, and the weighted
     gradients are added up block by block in a second.
     """
-    xs = _checked_visible(model, x, 1, "x")
+    xs = _checked_visible(model, x, 1, "x", binary=True)
     log_norm = _log_sqrt_ptilde(model, xs[None])[0]
     grad = ModelGradient.zeros_for(model)
     for _, _, layers in _blocks(model, 1):

@@ -49,7 +49,6 @@ from bihm.model import (
     _checked_latents,
     _checked_visible,
     bernoulli_step,
-    layer_log_prob,
     p_pass,
     q_pass,
     sigmoid,
@@ -122,8 +121,8 @@ def _update_hidden_chains(
     if l == L:
         mu_p = sigmoid(model.prior.biases)
     else:
-        mu_p = sigmoid(model.p_layers[l].activation(chains[l + 1]))
-    mu_q = sigmoid(model.q_layers[l - 1].activation(below))
+        mu_p = model.p_layers[l].mean(chains[l + 1])
+    mu_q = model.q_layers[l - 1].mean(below)
     coin = rng.random((c, p, 1)) < 0.5
     mu_mix = np.where(coin, mu_p[..., None, :], mu_q[:, None, :])
     cand = (rng.random((c, p, d)) < mu_mix).astype(np.float64)
@@ -133,8 +132,8 @@ def _update_hidden_chains(
     if l == L:
         lq_above = 0.0
     else:
-        lq_above = layer_log_prob(model.q_layers[l], cand, chains[l + 1][:, None, :])
-    lp_below = layer_log_prob(model.p_layers[l - 1], cand, below[:, None, :])
+        lq_above = bernoulli_step(model.q_layers[l].mean(cand), chains[l + 1][:, None, :])[1]
+    lp_below = bernoulli_step(model.p_layers[l - 1].mean(cand), below[:, None, :])[1]
 
     log_w = 0.5 * (lp_self + lp_below + lq_above + lq_self) - np.logaddexp(lp_self, lq_self)
     idx = _categorical_rows(log_w, rng)
@@ -159,13 +158,13 @@ def _update_visible_chains(
         chains[0] = np.broadcast_to(observed, (c, d0)).copy()
         return
 
-    mu_x = sigmoid(model.p_layers[0].activation(h1))
+    mu_x = model.p_layers[0].mean(h1)
     cand = (rng.random((c, p, d0)) < mu_x[:, None, :]).astype(np.float64)
     if mask is not None:
         cand = np.where(mask.astype(bool), observed, cand)
 
     lp = bernoulli_step(mu_x[:, None, :], cand)[1]
-    lq = layer_log_prob(model.q_layers[0], cand, h1[:, None, :])
+    lq = bernoulli_step(model.q_layers[0].mean(cand), h1[:, None, :])[1]
     lpt, _ = est_log_ptilde_rows(model, cand.reshape(c * p, d0), config.ptilde_k, rng)
     log_w = 0.5 * (lpt.reshape(c, p) + lq - lp)
     idx = _categorical_rows(log_w, rng)
@@ -325,4 +324,4 @@ def expected_visible(model: BihmModel, h1) -> np.ndarray:
     """
     h = np.asarray(h1, dtype=np.float64)
     _check_last_dim("h1", h, model.layer_sizes[1])
-    return sigmoid(model.p_layers[0].activation(h))
+    return model.p_layers[0].mean(h)

@@ -126,9 +126,9 @@ def minibatch_gradient(
     """
     if k < 1:
         raise ValueError("k must be positive")
-    x = _checked_visible(model, batch, 2, "batch")
+    x = _checked_visible(model, batch, 2, "batch", binary=True)
     grad = ModelGradient.zeros_for(model)
-    for start, stop in _row_blocks(model, x.shape[0], k):
+    for start, stop, _ in _row_blocks(model, x.shape[0], k):
         rows = x[start:stop]
         lw, p, q = log_weights(model, rows, k=k, rng=rng, keep_means=True)
         w = np.exp(lw - lw.max(axis=1, keepdims=True))

@@ -1,6 +1,7 @@
 """Importance-weighted likelihood and normalizer estimators."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -248,6 +249,87 @@ class TestRowBatchedEstimates:
         model = zero_model([3, 2])
         with pytest.raises(ShapeError):
             est_log_ptilde_rows(model, np.zeros(3), 4, np.random.default_rng(0))
+
+
+class TestSampleTiles:
+    """A row's samples are drawn in tiles; single vectors are one-row batches."""
+
+    def setup_method(self):
+        self.model = random_model([4, 3, 2], np.random.default_rng(7))
+        self.x = np.array([1.0, 0.0, 1.0, 1.0])
+
+    def test_single_vector_is_row_zero_of_the_rows_estimate(self):
+        for one, rows in ((est_log_ptilde, est_log_ptilde_rows), (est_log_p, est_log_p_rows)):
+            est = one(self.model, self.x, 500, np.random.default_rng(30))
+            values, ses = rows(self.model, self.x[None], 500, np.random.default_rng(30))
+            assert est.value == values[0]
+            assert est.std_error == ses[0]
+            assert est.num_samples == 500
+
+    def test_tiled_rows_agree_with_exact(self, monkeypatch):
+        # 9 floats per sample: tiles of 1000 samples, 20 to a row.
+        k = 20_000
+        monkeypatch.setattr(estimators, "_BLOCK_FLOATS", 9 * 1000)
+        assert len(next(estimators._row_blocks(self.model, 3, k))[2]) == 20
+        xs = np.array([self.x, [0.0, 1.0, 1.0, 0.0], [1.0, 1.0, 1.0, 1.0]])
+        values, ses = est_log_ptilde_rows(self.model, xs, k, np.random.default_rng(31))
+        for i, row in enumerate(xs):
+            assert abs(values[i] - exact_log_ptilde(self.model, row)) <= 3 * ses[i]
+
+    def test_tiled_normalizer_draws_each_outer_sample_once(self, monkeypatch):
+        # Tiles of 10 inner samples, 5 to each outer sample.
+        monkeypatch.setattr(estimators, "_BLOCK_FLOATS", 9 * 10)
+        assert len(next(estimators._row_blocks(self.model, 2000, 50))[2]) == 5
+        outer = []
+        original = estimators.p_pass
+
+        def recording(model, x=None, layers=None, k=1, **kwargs):
+            if layers is None:
+                outer.append(k)
+            return original(model, x, layers, k=k, **kwargs)
+
+        monkeypatch.setattr(estimators, "p_pass", recording)
+        z = est_log_z2(self.model, ZEstimateConfig(2000, 50), np.random.default_rng(32))
+        assert sum(outer) == 2000
+        assert z.num_samples == 100_000
+        assert abs(z.value - exact_log_z2(self.model)) <= 3 * z.std_error
+
+
+class TestTiledMemory:
+    """``est_log_*`` memory follows the tile budget, not the sample count.
+
+    A tile's peak is about 6x the floats of its sample arrays, so the bound
+    allows 8x the budget, plus 4 floats per sample for the per-sample (or
+    per-outer-sample) log terms and their statistics.
+    """
+
+    budget = 2**14
+    k = 100_000
+
+    def peak(self, monkeypatch, call):
+        monkeypatch.setattr(estimators, "_BLOCK_FLOATS", self.budget)
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def bound(self):
+        return 8 * (8 * self.budget + 4 * self.k)
+
+    @pytest.mark.parametrize("estimate", [est_log_ptilde, est_log_p])
+    def test_single_vector_estimators(self, monkeypatch, estimate):
+        model = random_model([20, 10, 5], np.random.default_rng(33))
+        x = (np.random.default_rng(34).random(20) < 0.5).astype(np.float64)
+        peak = self.peak(monkeypatch, lambda: estimate(model, x, self.k, np.random.default_rng(35)))
+        assert peak < self.bound()
+
+    def test_normalizer(self, monkeypatch):
+        model = random_model([20, 10, 5], np.random.default_rng(36))
+        config = ZEstimateConfig(self.k)
+        peak = self.peak(monkeypatch, lambda: est_log_z2(model, config, np.random.default_rng(37)))
+        assert peak < self.bound()
 
 
 class TestSharedSampleInequality:

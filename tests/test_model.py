@@ -5,6 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose, assert_array_equal
 
 import support
@@ -161,6 +164,47 @@ class TestLayerLogProb:
         targets = bit_matrix(3)
         total = np.exp(layer_log_prob(layer, v, targets)).sum()
         assert abs(total - 1.0) < 1e-10
+
+
+@st.composite
+def activations_and_targets(draw):
+    rows = draw(st.integers(1, 3))
+    width = draw(st.integers(1, 300))
+    a = draw(hnp.arrays(np.float64, (rows, width), elements=st.floats(-40.0, 40.0)))
+    t = draw(hnp.arrays(np.float64, (rows, width), elements=st.sampled_from([0.0, 1.0])))
+    return a, t
+
+
+class TestBernoulliStepScore:
+    """The one-log score of a 0/1 target against the two-log reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(activations_and_targets())
+    def test_matches_two_log_reference(self, drawn):
+        a, t = drawn
+        c = clamped_sigmoid(a)
+        reference = np.sum(t * np.log(c) + (1.0 - t) * np.log1p(-c), axis=-1)
+        score = bernoulli_step(sigmoid(a), t)[1]
+        # 1e-13 per row, scaled by the row's size once it exceeds 1 nat: a
+        # row of 300 saturated units sums to about -2000 nats, where one
+        # rounding step of either sum is 2.3e-13.
+        assert np.all(np.abs(score - reference) <= 1e-13 * np.maximum(1.0, np.abs(reference)))
+
+    def test_saturated_means_score_the_clamp(self):
+        a = np.array([[-40.0, 40.0, -40.0, 40.0]])
+        t = np.array([[0.0, 1.0, 1.0, 0.0]])
+        c = clamped_sigmoid(a)
+        expected = 2 * math.log1p(-SIGMOID_EPS) + math.log(SIGMOID_EPS) + math.log1p(-c[0, 1])
+        assert_allclose(bernoulli_step(sigmoid(a), t)[1], [expected], rtol=1e-15)
+
+    def test_keep_mean_leaves_the_mean_unclamped(self):
+        mu = sigmoid(np.array([[-40.0, 0.3, 40.0]]))
+        before = mu.copy()
+        _, score, mean = bernoulli_step(mu, np.array([[0.0, 1.0, 1.0]]), keep_mean=True)
+        assert mean is mu
+        assert_array_equal(mu, before)
+        _, clamped_score, _ = bernoulli_step(mu.copy(), np.array([[0.0, 1.0, 1.0]]))
+        assert_array_equal(score, clamped_score)
 
 
 class TestPrior:
