@@ -156,29 +156,43 @@ def _parse_text_rows(path: str, sep: Optional[str]) -> np.ndarray:
     return np.asarray(rows, dtype=np.float64)
 
 
-def _load_bbm(path: str) -> np.ndarray:
+def _read_binary(path: str, magic: bytes, fields: int):
+    """The bytes of ``path`` and the ``fields`` u32 values after its magic and version.
+
+    Raises :class:`TruncatedFileError` if the file is shorter than that
+    header, :class:`BadMagicError` for other magic bytes and
+    :class:`UnsupportedVersionError` for another version.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
-    header = 8 + 4 + 4 + 4
+    header = 12 + 4 * fields
     if len(blob) < header:
         raise TruncatedFileError(
             f"{path}: expected at least {header} header bytes, got {len(blob)}"
         )
-    if blob[:8] != _DATA_MAGIC:
-        raise BadMagicError(f"{path}: magic {blob[:8]!r} is not {_DATA_MAGIC!r}")
-    version, rows, cols = struct.unpack_from("<III", blob, 8)
+    if blob[:8] != magic:
+        raise BadMagicError(f"{path}: magic {blob[:8]!r} is not {magic!r}")
+    version, *values = struct.unpack_from(f"<{fields + 1}I", blob, 8)
     if version != _VERSION:
         raise UnsupportedVersionError(f"{path}: version {version}, reader supports {_VERSION}")
-    if cols < 1:
-        raise FormatError(f"{path}: column count must be positive, got {cols}")
-    row_bytes = (cols + 7) // 8
-    expected = header + rows * row_bytes
+    return blob, values
+
+
+def _check_size(path: str, blob: bytes, expected: int) -> None:
+    """Raise unless ``blob`` is exactly the ``expected`` bytes its header implies."""
     if len(blob) < expected:
         raise TruncatedFileError(f"{path}: expected {expected} bytes, got {len(blob)}")
     if len(blob) > expected:
-        raise SizeMismatchError(
-            f"{path}: {len(blob)} bytes on disk, header implies {expected}"
-        )
+        raise SizeMismatchError(f"{path}: {len(blob)} bytes on disk, header implies {expected}")
+
+
+def _load_bbm(path: str) -> np.ndarray:
+    blob, (rows, cols) = _read_binary(path, _DATA_MAGIC, 2)
+    if cols < 1:
+        raise FormatError(f"{path}: column count must be positive, got {cols}")
+    header = 8 + 4 + 4 + 4
+    row_bytes = (cols + 7) // 8
+    _check_size(path, blob, header + rows * row_bytes)
     packed = np.frombuffer(blob, dtype=np.uint8, offset=header).reshape(rows, row_bytes)
     bits = np.unpackbits(packed, axis=1, count=cols, bitorder="little")
     return bits.astype(np.float64)
@@ -236,15 +250,7 @@ def save_checkpoint(model: BihmModel, metadata: dict, path: str) -> None:
 
 def load_checkpoint(path: str) -> Checkpoint:
     """Read a checkpoint, validating header and size before parsing arrays."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 16:
-        raise TruncatedFileError(f"{path}: expected at least 16 header bytes, got {len(blob)}")
-    if blob[:8] != _MODEL_MAGIC:
-        raise BadMagicError(f"{path}: magic {blob[:8]!r} is not {_MODEL_MAGIC!r}")
-    version, num_latent = struct.unpack_from("<II", blob, 8)
-    if version != _VERSION:
-        raise UnsupportedVersionError(f"{path}: version {version}, reader supports {_VERSION}")
+    blob, (num_latent,) = _read_binary(path, _MODEL_MAGIC, 1)
     if num_latent < 1:
         raise FormatError(f"{path}: layer count must be at least 1, got {num_latent}")
     sizes_end = 16 + 4 * (num_latent + 1)
@@ -257,11 +263,7 @@ def load_checkpoint(path: str) -> Checkpoint:
         raise FormatError(f"{path}: layer sizes must be positive, got {sizes}")
     (meta_len,) = struct.unpack_from("<I", blob, sizes_end)
     arrays_at = sizes_end + 4 + meta_len
-    expected = arrays_at + 8 * param_count(sizes)
-    if len(blob) < expected:
-        raise TruncatedFileError(f"{path}: expected {expected} bytes, got {len(blob)}")
-    if len(blob) > expected:
-        raise SizeMismatchError(f"{path}: {len(blob)} bytes on disk, header implies {expected}")
+    _check_size(path, blob, arrays_at + 8 * param_count(sizes))
 
     # ValueError covers bad UTF-8, bad JSON and over-long integers;
     # RecursionError, nesting too deep to parse.
@@ -332,11 +334,7 @@ def read_pgm(path: str):
     if maxval != 255:
         raise FormatError(f"{path}: unsupported maxval {maxval}, expected 255")
     pos += 1  # single whitespace byte after maxval
-    expected = pos + width * height
-    if len(blob) < expected:
-        raise TruncatedFileError(f"{path}: expected {expected} bytes, got {len(blob)}")
-    if len(blob) > expected:
-        raise SizeMismatchError(f"{path}: {len(blob)} bytes on disk, header implies {expected}")
+    _check_size(path, blob, pos + width * height)
     data = np.frombuffer(blob, dtype=np.uint8, offset=pos).astype(np.float64) / 255.0
     return data, width, height
 

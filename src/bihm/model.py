@@ -589,6 +589,8 @@ def sample_q_rows(model: BihmModel, xs, k: int, rng: np.random.Generator) -> lis
     row-major order, so results are reproducible for a fixed generator state
     and row count.
     """
+    if k < 1:
+        raise ValueError("k must be positive")
     return q_pass(model, _checked_visible(model, xs, 2, "xs"), k=k, rng=rng).layers
 
 
@@ -598,6 +600,8 @@ def sample_p_batch(model: BihmModel, k: int, rng: np.random.Generator):
     Returns ``(x, layers)`` where ``x`` has shape ``(k, visible_dim)`` and
     ``layers`` lists one ``(k, d_l)`` array per latent layer, bottom-up.
     """
+    if k < 1:
+        raise ValueError("k must be positive")
     drawn = p_pass(model, k=k, rng=rng)
     return drawn.x, drawn.layers
 

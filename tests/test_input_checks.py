@@ -27,6 +27,7 @@ from bihm.model import (
     log_joint_p,
     log_q_given_x,
     random_model,
+    sample_p_batch,
     sample_q_rows,
 )
 from bihm.oracle import exact_grad_log_ptilde, exact_log_p, exact_log_ptilde
@@ -133,3 +134,16 @@ def test_binary_targets_are_scored():
 def test_row_estimators_need_a_positive_sample_count(estimate, k):
     with pytest.raises(ValueError, match="k must be positive"):
         estimate(MODEL, np.array([ROW]), k, rng())
+
+
+SAMPLERS = {
+    "sample_q_rows": lambda k: sample_q_rows(MODEL, np.array([ROW]), k, rng()),
+    "sample_p_batch": lambda k: sample_p_batch(MODEL, k, rng()),
+}
+
+
+@pytest.mark.parametrize("name", list(SAMPLERS))
+@pytest.mark.parametrize("k", [0, -1])
+def test_samplers_need_a_positive_sample_count(name, k):
+    with pytest.raises(ValueError, match="k must be positive"):
+        SAMPLERS[name](k)

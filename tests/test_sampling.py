@@ -19,7 +19,7 @@ from bihm.sampling import (
     GibbsConfig,
     GibbsState,
     _categorical_rows,
-    _update_hidden_chains,
+    _update_chains,
     expected_visible,
     gibbs_sample,
     gibbs_sample_chains,
@@ -37,10 +37,10 @@ def joint_codes(chains):
     return (bits @ weights).astype(np.int64)
 
 
-def empirical_hidden_conditional(model, clamps, l, n, proposals, rng, block=2000):
-    """Frequencies of layer ``l`` after one resampling step, neighbors fixed."""
+def empirical_conditional(model, clamps, l, n, proposals, rng, ptilde_k=1, block=2000):
+    """Frequencies of layer ``l`` (0 = the visibles) after one resampling step, neighbors fixed."""
     d = model.layer_sizes[l]
-    config = GibbsConfig(num_sweeps=1, proposals_per_step=proposals, ptilde_k=1)
+    config = GibbsConfig(num_sweeps=1, proposals_per_step=proposals, ptilde_k=ptilde_k)
     counts = np.zeros(1 << d)
     code_w = 2.0 ** np.arange(d - 1, -1, -1)
     for start in range(0, n, block):
@@ -49,7 +49,7 @@ def empirical_hidden_conditional(model, clamps, l, n, proposals, rng, block=2000
             np.tile(c, (rows, 1)) if c is not None else np.zeros((rows, model.layer_sizes[i]))
             for i, c in enumerate(clamps)
         ]
-        _update_hidden_chains(model, chains, l, config, rng)
+        _update_chains(model, chains, l, config, rng)
         counts += np.bincount((chains[l] @ code_w).astype(np.int64), minlength=1 << d)
     return counts / n
 
@@ -135,7 +135,7 @@ class TestUniformModel:
 
     def test_hidden_update_is_uniform(self):
         model = zero_model([3, 2])
-        emp = empirical_hidden_conditional(
+        emp = empirical_conditional(
             model,
             [np.array([1.0, 0.0, 1.0]), None],
             l=1,
@@ -150,7 +150,10 @@ class TestUniformModel:
 
 
 class TestHiddenConditionalAccuracy:
-    """One resampling step targets the exact conditional of the combined model."""
+    """One resampling step targets the exact conditional of the combined model.
+
+    At the visibles it does so only up to the ptilde estimate's error.
+    """
 
     def test_middle_layer(self):
         model = random_model([3, 2, 2], np.random.default_rng(100), weight_scale=1.2)
@@ -158,7 +161,7 @@ class TestHiddenConditionalAccuracy:
         h2 = np.array([1.0, 0.0])
         exact = exact_conditional_pstar(model, [x, None, h2])
         n = 60_000
-        emp = empirical_hidden_conditional(
+        emp = empirical_conditional(
             model, [x, None, h2], l=1, n=n, proposals=200, rng=np.random.default_rng(101)
         )
         se = np.sqrt(exact * (1.0 - exact) / n)
@@ -172,12 +175,27 @@ class TestHiddenConditionalAccuracy:
         h1 = np.array([0.0, 1.0])
         exact = exact_conditional_pstar(model, [x, h1, None])
         n = 60_000
-        emp = empirical_hidden_conditional(
+        emp = empirical_conditional(
             model, [x, h1, None], l=2, n=n, proposals=150, rng=np.random.default_rng(102)
         )
         se = np.sqrt(exact * (1.0 - exact) / n)
         assert np.all(np.abs(emp - exact) <= 4.0 * se + 1.0 / n)
         assert 0.5 * np.abs(emp - exact).sum() <= 0.02
+
+    def test_visible_layer(self):
+        # p alone proposes, and an estimated ptilde stands in for the q factor.
+        model = random_model([3, 2, 2], np.random.default_rng(100), weight_scale=1.2)
+        h1 = np.array([0.0, 1.0])
+        h2 = np.array([1.0, 0.0])
+        exact = exact_conditional_pstar(model, [None, h1, h2])
+        n = 20_000
+        emp = empirical_conditional(
+            model, [None, h1, h2], l=0, n=n, proposals=30, rng=np.random.default_rng(103),
+            ptilde_k=30,
+        )
+        se = np.sqrt(exact * (1.0 - exact) / n)
+        assert np.all(np.abs(emp - exact) <= 4.0 * se + 1.0 / n)
+        assert 0.5 * np.abs(emp - exact).sum() <= 0.03
 
 
 class TestChainStationarity:
