@@ -34,8 +34,8 @@ from bihm.io import (
 from bihm.model import BihmModel, ShapeError, random_model, sample_p_batch
 from bihm.oracle import (
     EnumerationLimitError,
+    _log_p,
     exact_grad_log_ptilde,
-    exact_log_p,
     exact_log_ptilde,
     exact_log_ptilde_by_x,
     bit_matrix,
@@ -259,8 +259,7 @@ def _check_bound(model, table, lz2) -> list:
     worst_p = -np.inf
     worst_star = -np.inf
     worst_ident = 0.0
-    for row, lpt in zip(xs, table):
-        lp = exact_log_p(model, row)
+    for row, lpt, lp in zip(xs, table, _log_p(model, None)):
         lps = exact_log_ptilde(model, row) - lz2
         worst_p = max(worst_p, lpt - lp)
         worst_star = max(worst_star, lpt - lps)

@@ -53,12 +53,25 @@ __all__ = [
     "ess_pct",
 ]
 
-# Float budget of one tile: rows x samples x (visible + latent bits), the
-# floats of the drawn sample arrays.  The estimators tile by it, and so do the
-# row blocks of ``training.minibatch_gradient``.  A tile's real peak is about
-# 5.5-6x that, not 1x: the two passes keep their means, their score buffers
-# and the drawn layers alive at once, and the gradient adds its deltas.
+# Float budget of one block, the one budget of every bounded loop in the
+# package: the estimators' row blocks and sample tiles (rows x samples x
+# (visible + latent bits)), the row blocks of ``training.minibatch_gradient``,
+# the oracle's enumeration blocks and the Gibbs chain blocks.  Each loop cuts
+# its work with :func:`_spans`.  A block's real peak is about 5.5-6x the
+# budget, not 1x: the two passes keep their means, their score buffers and the
+# drawn layers alive at once, and the gradient adds its deltas.
 _BLOCK_FLOATS = 2**18
+
+
+def _spans(n: int, item_floats: int) -> list:
+    """The ``(start, stop)`` ranges that cover ``range(n)`` in order.
+
+    Each holds at most ``max(1, _BLOCK_FLOATS // item_floats)`` items, so a
+    span of items of ``item_floats`` floats each stays under the budget
+    (one item at least).
+    """
+    step = max(1, _BLOCK_FLOATS // item_floats)
+    return [(a, min(a + step, n)) for a in range(0, n, step)]
 
 
 @dataclass(frozen=True)
@@ -336,35 +349,23 @@ def est_log_pstar(model: BihmModel, x, k: int, log_z2, rng: np.random.Generator)
 # ---------------------------------------------------------------------------
 
 
-def _row_blocks(model: BihmModel, n: int, k: int):
-    """Yield ``(start, stop, tiles)`` blocks covering ``n`` rows of ``k`` samples each.
-
-    A block holds ``_BLOCK_FLOATS // (k * (visible + latent bits))`` rows,
-    so its sample arrays stay under ``_BLOCK_FLOATS`` float64 entries.
-    ``tiles`` lists the ``(a, b)`` sample ranges of a row: the one range
-    ``(0, k)`` when a row fits the budget, and otherwise (each row then a
-    block of its own) ranges that each fit it.
-    """
-    row_floats = model.visible_dim + model.num_latent_bits
-    block = max(1, _BLOCK_FLOATS // (k * row_floats))
-    tile = min(k, max(1, _BLOCK_FLOATS // row_floats))
-    tiles = [(a, min(a + tile, k)) for a in range(0, k, tile)]
-    for start in range(0, n, block):
-        yield start, min(start + block, n), tiles
-
-
 def _blocked_rows(model: BihmModel, n: int, k: int, row_block):
     """Row-wise :func:`_log_mean_se` of ``n`` rows of ``k`` log terms, tile by tile.
 
-    ``row_block(start, stop)`` sets up the rows of one :func:`_row_blocks`
-    block and returns ``tile(m)``, which draws ``m`` more samples for each
-    of those rows and returns their ``(stop - start, m)`` log terms.  The
-    tiles of a row fill its columns of one ``(rows, k)`` array, so
-    :func:`_log_mean_se` sees whole rows.  Returns ``(values, std_errors,
-    ess)`` of length ``n``.
+    A row of ``k`` samples holds ``k * (visible + latent bits)`` floats, and
+    the rows come in :func:`_spans` of that; a row's samples come in spans
+    too: one tile ``(0, k)`` when a row fits the budget, and otherwise
+    (each row then a block of its own) tiles that each fit it.
+    ``row_block(start, stop)`` sets up the rows of one block and returns
+    ``tile(m)``, which draws ``m`` more samples for each of those rows and
+    returns their ``(stop - start, m)`` log terms.  The tiles of a row fill
+    its columns of one ``(rows, k)`` array, so :func:`_log_mean_se` sees
+    whole rows.  Returns ``(values, std_errors, ess)`` of length ``n``.
     """
+    row_floats = sum(model.layer_sizes)
+    tiles = _spans(k, row_floats)
     out = np.empty((3, n))
-    for start, stop, tiles in _row_blocks(model, n, k):
+    for start, stop in _spans(n, k * row_floats):
         tile = row_block(start, stop)
         terms = np.empty((stop - start, k))
         for a, b in tiles:

@@ -296,7 +296,7 @@ def write_pgm(image, width: int, height: int, path: str) -> None:
     v = np.asarray(image, dtype=np.float64).ravel()
     if v.shape[0] != width * height:
         raise ValueError(f"image has {v.shape[0]} pixels, expected {width}x{height}")
-    if v.size and (v.min() < 0.0 or v.max() > 1.0):
+    if not np.all((v >= 0.0) & (v <= 1.0)):
         raise ValueError("pixel values must lie in [0, 1]")
     data = np.floor(255.0 * v + 0.5).astype(np.uint8)
     with open(path, "wb") as fh:

@@ -14,10 +14,11 @@ Enumeration is strictly ordered: bit vectors are generated lexicographically
 the visible layer precedes the latents wherever both are enumerated.  No call
 enumerates more than ``2^MAX_ENUM_BITS`` configurations: past that cap it
 raises :class:`EnumerationLimitError` before allocating anything.  Every sum
-over the latents runs through one blocked core, so the pass arrays of one
-block stay under ``_BLOCK_FLOATS`` floats and memory is bounded by that
-budget (plus the inputs and outputs, one entry per visible row) whatever the
-bit counts.
+over the latents runs through one blocked core, and the conditionals score
+their free-bit configurations span by span, so the pass arrays of one block
+stay under the package's one float budget, ``bihm.estimators._BLOCK_FLOATS``.
+Memory is bounded by that budget plus the inputs and outputs (one entry per
+visible row, or per free-bit configuration) whatever the bit counts.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.special import logsumexp
 
+from bihm.estimators import _spans
 from bihm.model import (
     BihmModel,
     ModelGradient,
@@ -59,10 +61,6 @@ __all__ = [
 
 MAX_ENUM_BITS = 24
 MAX_FREE_BITS = 16
-
-# Float budget of one block: visible rows x latent configurations x
-# (visible + latent bits).
-_BLOCK_FLOATS = 2**22
 
 
 class EnumerationLimitError(ValueError):
@@ -101,20 +99,18 @@ def _blocks(model: BihmModel, n_rows: int):
 
     The blocks cover ``n_rows`` visible rows times every latent configuration.
     ``layers`` holds one ``(1, configurations, d_l)`` array per latent layer,
-    bottom-up, and a block's rows x configurations x (visible + latent bits)
-    stays under ``_BLOCK_FLOATS`` (one row and one configuration at least).
+    bottom-up.  Both axes are :func:`bihm.estimators._spans`, so a block's
+    rows x configurations x (visible + latent bits) stays under the float
+    budget (one row and one configuration at least).
     """
     n_bits = model.num_latent_bits
-    n_h = 1 << n_bits
-    width = model.visible_dim + n_bits
-    h_step = max(1, min(n_h, _BLOCK_FLOATS // width))
-    x_step = max(1, _BLOCK_FLOATS // (h_step * width))
+    width = sum(model.layer_sizes)
     offsets = np.cumsum((0,) + model.latent_sizes)
-    for h_start in range(0, n_h, h_step):
-        joint = bit_matrix(n_bits, h_start, min(h_start + h_step, n_h))
+    for h_start, h_stop in _spans(1 << n_bits, width):
+        joint = bit_matrix(n_bits, h_start, h_stop)
         layers = [joint[None, :, a:b] for a, b in zip(offsets[:-1], offsets[1:])]
-        for start in range(0, n_rows, x_step):
-            yield start, min(start + x_step, n_rows), layers
+        for start, stop in _spans(n_rows, (h_stop - h_start) * width):
+            yield start, stop, layers
 
 
 def _sum_over_h(model: BihmModel, xs, log_term) -> np.ndarray:
@@ -277,6 +273,8 @@ def exact_conditional_pstar(model: BihmModel, clamped) -> np.ndarray:
     the familiar layer conditionals.  Returns probabilities over the
     lexicographic enumeration of the free bits (layer order, visibles first;
     within a layer, index order).  At most ``MAX_FREE_BITS`` bits may be free.
+    The configurations are scored in spans, so memory beyond vectors of the
+    returned length follows the float budget.
     """
     spec = _clamp_spec(model, clamped)
     free = _free_positions(spec)
@@ -285,24 +283,24 @@ def exact_conditional_pstar(model: BihmModel, clamped) -> np.ndarray:
         raise EnumerationLimitError(
             f"{n_free} free bits exceeds the conditional cap of {MAX_FREE_BITS}"
         )
-    rows = 1 << n_free
-    bits = bit_matrix(n_free)
-    full = [
-        np.broadcast_to(np.maximum(layer, 0).astype(np.float64), (rows, layer.shape[0])).copy()
-        for layer in spec
-    ]
-    for col, (i, j) in enumerate(free):
-        full[i][:, j] = bits[:, col]
-    xs = full[0]
-    hs = full[1:]
-    log_w = _log_sqrt_pq(model, xs, hs)[0]
-
-    if any(i == 0 for (i, _) in free):
-        # ptilde(x) varies only over the free visible bits; score each
-        # distinct visible row once.  (numpy 2.0.0 returns a 2-D inverse.)
-        distinct, inverse = np.unique(xs, axis=0, return_inverse=True)
-        log_w = log_w + _log_sqrt_ptilde(model, distinct)[inverse.reshape(-1)]
-
+    clamps = [np.maximum(layer, 0).astype(np.float64) for layer in spec]
+    log_w = np.empty(1 << n_free)
+    for start, stop in _spans(log_w.shape[0], sum(model.layer_sizes)):
+        bits = bit_matrix(n_free, start, stop)
+        full = [np.tile(c, (stop - start, 1)) for c in clamps]
+        for col, (i, j) in enumerate(free):
+            full[i][:, j] = bits[:, col]
+        log_w[start:stop] = _log_sqrt_pq(model, full[0], full[1:])[0]
+    vis = [j for i, j in free if i == 0]
+    if vis:
+        # ptilde(x) varies only over the free visible bits, which lead the
+        # enumeration: score each of their configurations once.
+        lpt = np.empty(1 << len(vis))
+        for start, stop in _spans(lpt.shape[0], model.visible_dim):
+            xs = np.tile(clamps[0], (stop - start, 1))
+            xs[:, vis] = bit_matrix(len(vis), start, stop)
+            lpt[start:stop] = _log_sqrt_ptilde(model, xs)
+        log_w += np.repeat(lpt, 1 << (n_free - len(vis)))
     return np.exp(log_w - logsumexp(log_w))
 
 

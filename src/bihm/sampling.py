@@ -39,7 +39,7 @@ from typing import Optional
 
 import numpy as np
 
-from bihm.estimators import est_log_ptilde_rows
+from bihm.estimators import _spans, est_log_ptilde_rows
 from bihm.model import (
     BihmModel,
     LatentConfig,
@@ -142,8 +142,6 @@ def _update_chains(model, chains, l, config, rng, mask=None, observed=None) -> N
     else:
         lq_above = bernoulli_step(model.q_layers[l].mean(cand), chains[l + 1][:, None, :])[1]
     if l == 0:
-        # ptilde comes last: estimating it before the q factor raised the peak
-        # RSS of `bihm oracle --dims 8,5,4` from 111 to 120 MB (x86-64, glibc).
         lpt, _ = est_log_ptilde_rows(model, cand.reshape(c * p, d), config.ptilde_k, rng)
         log_w = 0.5 * (lpt.reshape(c, p) + lq_above - lp_self)
     else:
@@ -195,21 +193,18 @@ def gibbs_update_visible(
     return _update_state(model, state, 0, config, rng)
 
 
-# Chains are processed in blocks so candidate arrays (rows x proposals x dim)
-# stay within a fixed float budget regardless of the chain count.
-_CHAIN_BLOCK_FLOATS = 2**21
-
-
 def _run_chains(model, count, config, rng, init, mask=None, observed=None) -> list:
     """Sweep ``count`` chains block by block; returns ``[X, H1, ..., HL]``.
 
-    ``init(rows)`` gives the starting ``[X, H1, ..., HL]`` of a block.
+    ``init(rows)`` gives the starting ``[X, H1, ..., HL]`` of a block.  The
+    blocks are :func:`bihm.estimators._spans` of chains, each holding
+    ``proposals x widest layer`` candidate floats, so the candidate arrays
+    stay under the float budget whatever the chain count.  The draws depend
+    on that split: one generator serves the blocks in turn.
     """
-    widest = max(model.layer_sizes)
-    block = max(1, _CHAIN_BLOCK_FLOATS // (config.proposals_per_step * widest))
     outs = []
-    for start in range(0, count, block):
-        chains = init(min(block, count - start))
+    for start, stop in _spans(count, config.proposals_per_step * max(model.layer_sizes)):
+        chains = init(stop - start)
         for _ in range(config.num_sweeps):
             _sweep_chains(model, chains, config, rng, mask=mask, observed=observed)
         outs.append(chains)

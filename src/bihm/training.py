@@ -23,7 +23,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from bihm.estimators import ZEstimateConfig, _row_blocks, est_log_z2, estimate_rows, log_weights
+from bihm.estimators import ZEstimateConfig, _spans, est_log_z2, estimate_rows, log_weights
 from bihm.model import (
     BihmModel,
     ModelGradient,
@@ -128,7 +128,7 @@ def minibatch_gradient(
         raise ValueError("k must be positive")
     x = _checked_visible(model, batch, 2, "batch", binary=True)
     grad = ModelGradient.zeros_for(model)
-    for start, stop, _ in _row_blocks(model, x.shape[0], k):
+    for start, stop in _spans(x.shape[0], k * sum(model.layer_sizes)):
         rows = x[start:stop]
         lw, p, q = log_weights(model, rows, k=k, rng=rng, keep_means=True)
         w = np.exp(lw - lw.max(axis=1, keepdims=True))

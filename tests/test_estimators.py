@@ -270,7 +270,7 @@ class TestSampleTiles:
         # 9 floats per sample: tiles of 1000 samples, 20 to a row.
         k = 20_000
         monkeypatch.setattr(estimators, "_BLOCK_FLOATS", 9 * 1000)
-        assert len(next(estimators._row_blocks(self.model, 3, k))[2]) == 20
+        assert len(estimators._spans(k, sum(self.model.layer_sizes))) == 20
         xs = np.array([self.x, [0.0, 1.0, 1.0, 0.0], [1.0, 1.0, 1.0, 1.0]])
         values, ses = est_log_ptilde_rows(self.model, xs, k, np.random.default_rng(31))
         for i, row in enumerate(xs):
@@ -279,7 +279,7 @@ class TestSampleTiles:
     def test_tiled_normalizer_draws_each_outer_sample_once(self, monkeypatch):
         # Tiles of 10 inner samples, 5 to each outer sample.
         monkeypatch.setattr(estimators, "_BLOCK_FLOATS", 9 * 10)
-        assert len(next(estimators._row_blocks(self.model, 2000, 50))[2]) == 5
+        assert len(estimators._spans(50, sum(self.model.layer_sizes))) == 5
         outer = []
         original = estimators.p_pass
 

@@ -369,6 +369,8 @@ class TestPgm:
             write_pgm([0.0, 1.5], 2, 1, path)
         with pytest.raises(ValueError):
             write_pgm([-0.1, 0.5], 2, 1, path)
+        with pytest.raises(ValueError, match="must lie in"):
+            write_pgm([0.0, np.nan], 2, 1, path)
 
     def test_comments_in_header(self, tmp_path):
         path = str(tmp_path / "comment.pgm")

@@ -8,7 +8,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import support
-import bihm.oracle as oracle
+import bihm.estimators as estimators
 from bihm.model import LatentConfig, ShapeError, random_model, zero_model
 from bihm.oracle import (
     MAX_ENUM_BITS,
@@ -296,7 +296,7 @@ class TestBlocking:
             )
 
         reference = values()
-        monkeypatch.setattr(oracle, "_BLOCK_FLOATS", 7)
+        monkeypatch.setattr(estimators, "_BLOCK_FLOATS", 7)
         blocked = values()
         for a, b in zip(reference, blocked):
             assert np.max(np.abs(a - b)) < 1e-12
@@ -308,16 +308,23 @@ class TestBlocking:
             (exact_log_p, [2, 8, 8]),
             (exact_grad_log_ptilde, [2, 8, 8]),
             (exact_log_ptilde_by_x, [6, 5, 4]),
+            (exact_conditional_pstar, [40, 6, 6]),
         ],
     )
     def test_peak_memory_follows_the_block_budget(self, monkeypatch, call, sizes):
-        monkeypatch.setattr(oracle, "_BLOCK_FLOATS", 2**12)
+        monkeypatch.setattr(estimators, "_BLOCK_FLOATS", 2**12)
         model = random_model(sizes, np.random.default_rng(37))
-        args = (model,) if call is exact_log_ptilde_by_x else (model, np.ones(sizes[0]))
+        if call is exact_log_ptilde_by_x:
+            args = (model,)
+        elif call is exact_conditional_pstar:
+            # The visibles clamped: 12 free latent bits.
+            args = (model, [np.ones(sizes[0]), None, None])
+        else:
+            args = (model, np.ones(sizes[0]))
         tracemalloc.start()
         try:
             call(*args)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16 * 8 * oracle._BLOCK_FLOATS
+        assert peak < 16 * 8 * estimators._BLOCK_FLOATS

@@ -1,9 +1,12 @@
 """Gibbs chains over the combined model and mask-constrained inpainting."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
+import bihm.estimators as estimators
 from bihm.model import (
     BeliefLayer,
     BihmModel,
@@ -235,6 +238,22 @@ class TestChainStationarity:
         assert again.x.shape == (3,)
         new_x = gibbs_update_visible(model, state, config, np.random.default_rng(128))
         assert set(np.unique(new_x)) <= {0.0, 1.0}
+
+    def test_peak_memory_follows_the_block_budget(self, monkeypatch):
+        # The chains run in blocks under the float budget: the peak is the
+        # returned arrays (once as blocks, once joined) plus one block's
+        # work, not the candidates of every chain at once.
+        budget = 2**12
+        monkeypatch.setattr(estimators, "_BLOCK_FLOATS", budget)
+        model = random_model([20, 10, 5], np.random.default_rng(129))
+        tracemalloc.start()
+        try:
+            chains = gibbs_sample_chains(model, 8000, GibbsConfig(1, 5, 5), np.random.default_rng(130))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        output = sum(a.nbytes for a in chains)
+        assert peak < 3 * output + 16 * 8 * budget
 
 
 class TestInpainting:
