@@ -56,7 +56,9 @@ __all__ = [
 # Float budget of one block, the one budget of every bounded loop in the
 # package: the estimators' row blocks and sample tiles (rows x samples x
 # (visible + latent bits)), the row blocks of ``training.minibatch_gradient``,
-# the oracle's enumeration blocks and the Gibbs chain blocks.  Each loop cuts
+# the oracle's enumeration blocks, the Gibbs chain blocks and, within them, the
+# visible update's shared ptilde samples (chains x samples x (visible + latent
+# bits + proposals)).  Each loop cuts
 # its work with :func:`_spans`.  A block's real peak is about 5.5-6x the
 # budget, not 1x: the two passes keep their means, their score buffers and the
 # drawn layers alive at once, and the gradient adds its deltas.
@@ -195,15 +197,17 @@ def draw_weighted_samples(model: BihmModel, x, k: int, rng: np.random.Generator)
 # ---------------------------------------------------------------------------
 
 
-def _log_mean_se(log_terms: np.ndarray):
+def _log_mean_se(log_terms: np.ndarray, errors=True):
     """Log of the mean of ``exp(log_terms)`` over the last axis, with SE and ESS.
 
     Each row is shifted by its own maximum.  The delta-method SE of the log
     is ``SE(m) / m``, computed as ``std(u) / (sqrt(K) mean(u))`` on the
     shifted terms ``u``, which is invariant to the shift; the effective
     sample size is ``(sum u)^2 / sum u^2``.  Returns three arrays of the
-    leading shape.  The one temporary of the shape of ``log_terms`` holds
-    ``u``, then its deviations from the mean, as ``numpy.std`` computes them.
+    leading shape, or with ``errors`` False the log-means alone, as a
+    one-tuple, without computing the SE and ESS.  The one temporary of the
+    shape of ``log_terms`` holds ``u``, then its deviations from the mean,
+    as ``numpy.std`` computes them.
     """
     k = log_terms.shape[-1]
     m = log_terms.max(axis=-1, keepdims=True)
@@ -212,6 +216,8 @@ def _log_mean_se(log_terms: np.ndarray):
     total = u.sum(axis=-1)
     mean_u = total / k
     values = m[..., 0] + np.log(mean_u)
+    if not errors:
+        return (values,)
     ess_rows = total * total / np.einsum("...k,...k->...", u, u)
     if k < 2:
         ses = np.zeros_like(values)
@@ -323,7 +329,7 @@ def est_log_z2(model: BihmModel, config: ZEstimateConfig, rng: np.random.Generat
 
         return tile
 
-    per_outer = _blocked_rows(model, ko, ki, row_block)[0]
+    per_outer = _blocked_rows(ko, ki, sum(model.layer_sizes), row_block)[0]
     value, se = _vector_log_mean_se(per_outer)
     return EstimateWithError(value, se, ko * ki)
 
@@ -349,29 +355,30 @@ def est_log_pstar(model: BihmModel, x, k: int, log_z2, rng: np.random.Generator)
 # ---------------------------------------------------------------------------
 
 
-def _blocked_rows(model: BihmModel, n: int, k: int, row_block):
+def _blocked_rows(n: int, k: int, sample_floats: int, row_block, cols=(), errors=True):
     """Row-wise :func:`_log_mean_se` of ``n`` rows of ``k`` log terms, tile by tile.
 
-    A row of ``k`` samples holds ``k * (visible + latent bits)`` floats, and
-    the rows come in :func:`_spans` of that; a row's samples come in spans
-    too: one tile ``(0, k)`` when a row fits the budget, and otherwise
-    (each row then a block of its own) tiles that each fit it.
-    ``row_block(start, stop)`` sets up the rows of one block and returns
-    ``tile(m)``, which draws ``m`` more samples for each of those rows and
-    returns their ``(stop - start, m)`` log terms.  The tiles of a row fill
-    its columns of one ``(rows, k)`` array, so :func:`_log_mean_se` sees
-    whole rows.  Returns ``(values, std_errors, ess)`` of length ``n``.
+    A row of ``k`` samples holds ``k * sample_floats`` floats (the
+    estimators' samples hold their visible and latent bits), and the rows
+    come in :func:`_spans` of that; a row's samples come in spans too: one
+    tile ``(0, k)`` when a row fits the budget, and otherwise (each row then
+    a block of its own) tiles that each fit it.  ``row_block(start, stop)``
+    sets up the rows of one block and returns ``tile(m)``, which draws
+    ``m`` more samples for each of those rows and returns their
+    ``(stop - start, *cols, m)`` log terms.  The tiles of a row fill its
+    columns of one ``(rows, *cols, k)`` array, so :func:`_log_mean_se` sees
+    whole rows.  Returns ``(values, std_errors, ess)``, each of shape
+    ``(n, *cols)``, or with ``errors`` False the values alone.
     """
-    row_floats = sum(model.layer_sizes)
-    tiles = _spans(k, row_floats)
-    out = np.empty((3, n))
-    for start, stop in _spans(n, k * row_floats):
+    tiles = _spans(k, sample_floats)
+    out = np.empty((3 if errors else 1, n, *cols))
+    for start, stop in _spans(n, k * sample_floats):
         tile = row_block(start, stop)
-        terms = np.empty((stop - start, k))
+        terms = np.empty((stop - start, *cols, k))
         for a, b in tiles:
-            terms[:, a:b] = tile(b - a)
-        out[:, start:stop] = _log_mean_se(terms)
-    return out
+            terms[..., a:b] = tile(b - a)
+        out[:, start:stop] = _log_mean_se(terms, errors)
+    return out if errors else out[0]
 
 
 def estimate_rows(model: BihmModel, xs, k: int, rng, squared=False):
@@ -395,7 +402,7 @@ def estimate_rows(model: BihmModel, xs, k: int, rng, squared=False):
 
         return tile
 
-    values, ses, ess_rows = _blocked_rows(model, x.shape[0], k, row_block)
+    values, ses, ess_rows = _blocked_rows(x.shape[0], k, sum(model.layer_sizes), row_block)
     if not squared:
         values, ses = 2.0 * values, 2.0 * ses
     return values, ses, ess_rows

@@ -13,16 +13,18 @@ from bihm.model import (
     FactorizedPrior,
     LatentConfig,
     ShapeError,
+    bernoulli_step,
     random_model,
     sigmoid,
     zero_model,
 )
-from bihm.oracle import exact_conditional_pstar
+from bihm.oracle import exact_conditional_pstar, exact_log_ptilde
 from bihm.sampling import (
     GibbsConfig,
     GibbsState,
     _categorical_rows,
     _update_chains,
+    _visible_log_terms,
     expected_visible,
     gibbs_sample,
     gibbs_sample_chains,
@@ -254,6 +256,69 @@ class TestChainStationarity:
             tracemalloc.stop()
         output = sum(a.nbytes for a in chains)
         assert peak < 3 * output + 16 * 8 * budget
+
+    @pytest.mark.parametrize(
+        "sizes, config",
+        [
+            ([20, 10, 5], GibbsConfig(1, 5, 5)),
+            # proposals = ptilde_k = 10 on narrow layers: the visible
+            # update's (chains, proposals, shared samples) cross terms
+            # dominate a block's work, so this case fails unless the shared
+            # ptilde estimate cuts its chains into blocks of its own.
+            ([8, 5, 4], GibbsConfig(1, 10, 10)),
+        ],
+    )
+    def test_peak_memory_holds_the_output_once(self, monkeypatch, sizes, config):
+        budget = 2**12
+        monkeypatch.setattr(estimators, "_BLOCK_FLOATS", budget)
+        model = random_model(sizes, np.random.default_rng(129))
+        tracemalloc.start()
+        try:
+            chains = gibbs_sample_chains(model, 8000, config, np.random.default_rng(130))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        output = sum(a.nbytes for a in chains)
+        assert peak < output + 16 * 8 * budget
+
+
+class TestSharedPtilde:
+    """The visible update's ptilde estimate, shared by a chain's candidates."""
+
+    def test_linear_domain_estimate_is_unbiased(self):
+        # Six distinct candidates in every chain and one shared sample per
+        # chain: each chain's estimate of sqrt(ptilde(x_j)) is unbiased, so
+        # over many chains exp((lpt - exact) / 2) averages to 1.
+        model = random_model([8, 5, 4], np.random.default_rng(200), weight_scale=3.0)
+        rng = np.random.default_rng(201)
+        cand = np.unique((rng.random((40, 8)) < 0.5).astype(np.float64), axis=0)[:6]
+        exact = np.array([exact_log_ptilde(model, x) for x in cand])
+        n = 200_000
+        _, lpt = _visible_log_terms(model, np.broadcast_to(cand, (n, 6, 8)), np.zeros((n, 5)), 1, rng)
+        ratio = np.exp((lpt - exact) / 2.0)
+        se = ratio.std(axis=0, ddof=1) / np.sqrt(n)
+        assert np.all(np.abs(ratio.mean(axis=0) - 1.0) <= 4.0 * se)
+
+    def test_q_term_matches_the_clamped_score(self):
+        model = random_model([8, 5, 4], np.random.default_rng(202), weight_scale=3.0)
+        rng = np.random.default_rng(203)
+        cand = (rng.random((7, 3, 8)) < 0.5).astype(np.float64)
+        h1 = (rng.random((7, 5)) < 0.5).astype(np.float64)
+        lq, _ = _visible_log_terms(model, cand, h1, 2, rng)
+        expected = bernoulli_step(model.q_layers[0].mean(cand), h1[:, None, :])[1]
+        np.testing.assert_allclose(lq, expected, rtol=1e-12, atol=1e-9)
+
+    def test_shapes_and_finite_under_an_inpainting_mask(self):
+        model = random_model([8, 5, 4], np.random.default_rng(204), weight_scale=3.0)
+        rng = np.random.default_rng(205)
+        observed = np.array([1.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0, 0.0])
+        mask = np.array([1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0])
+        free = (rng.random((9, 4, 8)) < 0.5).astype(np.float64)
+        cand = np.where(mask.astype(bool), observed, free)
+        lq, lpt = _visible_log_terms(model, cand, np.ones((9, 5)), 13, rng)
+        assert lq.shape == lpt.shape == (9, 4)
+        assert np.all(np.isfinite(lq)) and np.all(np.isfinite(lpt))
+        assert np.all(lq <= 0.0)
 
 
 class TestInpainting:
