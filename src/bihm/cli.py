@@ -40,12 +40,7 @@ from bihm.oracle import (
     exact_log_ptilde_by_x,
     bit_matrix,
 )
-from bihm.sampling import (
-    GibbsConfig,
-    expected_visible,
-    gibbs_sample_chains,
-    inpaint as run_inpaint,
-)
+from bihm.sampling import GibbsConfig, expected_visible, gibbs_sample_chains, inpaint_chains
 from bihm.training import (
     TrainConfig,
     TrainingDiverged,
@@ -68,7 +63,11 @@ def _parse_sizes(text: str) -> tuple:
 
 
 def _geometry(length: int, width, height) -> tuple:
-    if width and height:
+    if (width is None) != (height is None):
+        raise ValueError("pass both --width and --height, or neither")
+    if width is not None:
+        if width < 1 or height < 1:
+            raise ValueError(f"image dimensions must be positive, got {width}x{height}")
         if width * height != length:
             raise ValueError(f"{width}x{height} does not match {length} pixels")
         return width, height
@@ -201,6 +200,9 @@ def _cmd_sample(args) -> int:
     model = load_checkpoint(args.model).model
     if args.count < 1:
         raise ValueError("count must be positive")
+    if args.gibbs < 0:
+        raise ValueError("gibbs sweeps must be non-negative")
+    width, height = _geometry(model.visible_dim, args.width, args.height)
     rng = np.random.default_rng(args.seed)
     if args.gibbs > 0:
         config = GibbsConfig(
@@ -214,7 +216,6 @@ def _cmd_sample(args) -> int:
         x, layers = sample_p_batch(model, args.count, rng)
         h1 = layers[0]
     pixels = expected_visible(model, h1) if args.expected else x
-    width, height = _geometry(model.visible_dim, args.width, args.height)
     os.makedirs(args.out, exist_ok=True)
     for i in range(args.count):
         write_pgm(pixels[i], width, height, os.path.join(args.out, f"sample_{i:03d}.pgm"))
@@ -236,7 +237,7 @@ def _cmd_inpaint(args) -> int:
     m = (mask >= 0.5).astype(np.float64)
     rng = np.random.default_rng(args.seed)
     config = GibbsConfig(num_sweeps=args.gibbs)
-    completed = run_inpaint(model, x, m, config, rng)
+    completed = inpaint_chains(model, x, m, 1, config, rng)[0]
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "inpainted.pgm")
     write_pgm(completed, width, height, out_path)
@@ -390,8 +391,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="write expected pixel values (default)")
     p.add_argument("--binary", dest="expected", action="store_false",
                    help="write hard binary samples")
-    p.add_argument("--width", type=int, default=0)
-    p.add_argument("--height", type=int, default=0)
+    p.add_argument("--width", type=int, help="image width (with --height; default square)")
+    p.add_argument("--height", type=int, help="image height (with --width)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_sample, expected=True)

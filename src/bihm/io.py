@@ -291,8 +291,10 @@ def write_pgm(image, width: int, height: int, path: str) -> None:
     """Write a grayscale image; pixel byte = floor(255 * value + 0.5).
 
     ``image`` is a flat vector of values in [0, 1], row-major, of length
-    ``width * height``.
+    ``width * height``; both dimensions must be at least 1.
     """
+    if width < 1 or height < 1:
+        raise ValueError(f"image dimensions must be positive, got {width}x{height}")
     v = np.asarray(image, dtype=np.float64).ravel()
     if v.shape[0] != width * height:
         raise ValueError(f"image has {v.shape[0]} pixels, expected {width}x{height}")

@@ -23,8 +23,7 @@ visible row, or per free-bit configuration) whatever the bit counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from scipy.special import logsumexp
@@ -42,7 +41,6 @@ from bihm.model import (
 
 __all__ = [
     "EnumerationLimitError",
-    "OracleReport",
     "MAX_ENUM_BITS",
     "MAX_FREE_BITS",
     "bit_matrix",
@@ -56,7 +54,6 @@ __all__ = [
     "exact_grad_log_ptilde",
     "exact_conditional_pstar",
     "free_state_index",
-    "oracle_report",
 ]
 
 MAX_ENUM_BITS = 24
@@ -303,38 +300,3 @@ def exact_conditional_pstar(model: BihmModel, clamped) -> np.ndarray:
         log_w += np.repeat(lpt, 1 << (n_free - len(vis)))
     return np.exp(log_w - logsumexp(log_w))
 
-
-# ---------------------------------------------------------------------------
-# Report
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class OracleReport:
-    """Exact quantities for one model, keyed by visible configuration tuple."""
-
-    log_ptilde_by_x: dict
-    log_p_by_x: dict
-    log_z2: float
-    bhattacharyya: float
-    exact_grad: Optional[ModelGradient] = None
-
-
-def oracle_report(model: BihmModel, grad_x: Optional[Sequence[float]] = None) -> OracleReport:
-    """Compute every exact quantity for a tiny model in one pass.
-
-    ``grad_x``, if given, selects one visible vector for the exact gradient.
-    """
-    ptilde = exact_log_ptilde_by_x(model)
-    keys = [tuple(int(b) for b in row) for row in bit_matrix(model.visible_dim)]
-    log_z2 = float(logsumexp(ptilde))
-    grad = None
-    if grad_x is not None:
-        grad = exact_grad_log_ptilde(model, np.asarray(grad_x, dtype=np.float64))
-    return OracleReport(
-        log_ptilde_by_x={k: float(v) for k, v in zip(keys, ptilde)},
-        log_p_by_x={k: float(v) for k, v in zip(keys, _log_p(model, None))},
-        log_z2=log_z2,
-        bhattacharyya=-0.5 * log_z2,
-        exact_grad=grad,
-    )

@@ -38,7 +38,6 @@ contribute identical factors to every candidate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -46,11 +45,7 @@ from bihm.estimators import _blocked_rows, _log_mean_se, _spans
 from bihm.model import (
     SIGMOID_EPS,
     BihmModel,
-    LatentConfig,
-    ShapeError,
-    _check_binary,
     _check_last_dim,
-    _checked_latents,
     _checked_visible,
     bernoulli_step,
     p_pass,
@@ -60,12 +55,7 @@ from bihm.model import (
 
 __all__ = [
     "GibbsConfig",
-    "GibbsState",
-    "gibbs_update_hidden",
-    "gibbs_update_visible",
-    "gibbs_sample",
     "gibbs_sample_chains",
-    "inpaint",
     "inpaint_chains",
     "expected_visible",
 ]
@@ -88,21 +78,6 @@ class GibbsConfig:
             raise ValueError("all Gibbs counts must be positive")
 
 
-@dataclass(frozen=True)
-class GibbsState:
-    """One chain state: visible vector plus one binary vector per layer."""
-
-    x: np.ndarray
-    latents: LatentConfig
-
-    def __post_init__(self):
-        x = np.asarray(self.x, dtype=np.float64)
-        if x.ndim != 1:
-            raise ShapeError(f"state x must be a vector, got shape {x.shape}")
-        _check_binary("state x", x)
-        object.__setattr__(self, "x", x)
-
-
 # Shared samples per chain in the visible update's ptilde estimate, per unit
 # of ``GibbsConfig.ptilde_k``.  Chosen by the TV of ``bihm oracle --dims
 # 8,5,4 --checks gibbs`` over seeds 0-9 (tolerance 0.05): up to 0.061 at 1x,
@@ -113,11 +88,6 @@ _SHARED_PER_PTILDE_K = 4
 # The logit of 1 - SIGMOID_EPS: clipping an activation to +-this clamps its
 # mean as bernoulli_step clamps it.
 _LOGIT_CLIP = float(np.log1p(-SIGMOID_EPS) - np.log(SIGMOID_EPS))
-
-
-def _check_state(model: BihmModel, state: GibbsState) -> None:
-    _checked_visible(model, state.x, 1, "state x")
-    _checked_latents(model, state.latents)
 
 
 def _categorical_rows(log_w: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -252,43 +222,6 @@ def _sweep_chains(model, chains, config, rng, mask=None, observed=None) -> None:
         _update_chains(model, chains, l, config, rng, mask, observed)
 
 
-# ---------------------------------------------------------------------------
-# Public single-state operations
-# ---------------------------------------------------------------------------
-
-
-def _state_to_chains(state: GibbsState) -> list:
-    return [state.x[None, :].copy()] + [h[None, :].copy() for h in state.latents.layers]
-
-
-def _chains_to_state(chains: list) -> GibbsState:
-    return GibbsState(x=chains[0][0], latents=LatentConfig([h[0] for h in chains[1:]]))
-
-
-def _update_state(model, state, l, config, rng) -> np.ndarray:
-    """Check ``state``, resample its layer ``l`` (0 = the visibles) and return it."""
-    _check_state(model, state)
-    chains = _state_to_chains(state)
-    _update_chains(model, chains, l, config, rng)
-    return chains[l][0]
-
-
-def gibbs_update_hidden(
-    model: BihmModel, state: GibbsState, l: int, config: GibbsConfig, rng: np.random.Generator
-) -> np.ndarray:
-    """Propose-and-resample update of hidden layer ``l`` (1-based); returns new h_l."""
-    if not 1 <= l <= model.num_latent_layers:
-        raise ValueError(f"layer index {l} out of range 1..{model.num_latent_layers}")
-    return _update_state(model, state, l, config, rng)
-
-
-def gibbs_update_visible(
-    model: BihmModel, state: GibbsState, config: GibbsConfig, rng: np.random.Generator
-) -> np.ndarray:
-    """Propose-and-resample update of the visibles; returns the new x."""
-    return _update_state(model, state, 0, config, rng)
-
-
 def _run_chains(model, count, config, rng, init, mask=None, observed=None) -> list:
     """Sweep ``count`` chains block by block; returns ``[X, H1, ..., HL]``.
 
@@ -309,19 +242,6 @@ def _run_chains(model, count, config, rng, init, mask=None, observed=None) -> li
         for out, block in zip(outs, chains):
             out[start:stop] = block
     return outs
-
-
-def gibbs_sample(
-    model: BihmModel,
-    init: Optional[GibbsState],
-    config: GibbsConfig,
-    rng: np.random.Generator,
-) -> GibbsState:
-    """Run ``num_sweeps`` full sweeps from ``init`` (or a fresh model sample)."""
-    if init is None:
-        return _chains_to_state(gibbs_sample_chains(model, 1, config, rng))
-    _check_state(model, init)
-    return _chains_to_state(_run_chains(model, 1, config, rng, lambda rows: _state_to_chains(init)))
 
 
 def gibbs_sample_chains(
@@ -371,17 +291,6 @@ def inpaint_chains(
         return [np.tile(x, (rows, 1))] + q_pass(model, x, k=rows, rng=rng).layers
 
     return _run_chains(model, count, config, rng, init, mask=m, observed=x)[0]
-
-
-def inpaint(
-    model: BihmModel,
-    x_corrupt,
-    mask,
-    config: GibbsConfig,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Complete the unobserved positions of one corrupted visible vector."""
-    return inpaint_chains(model, x_corrupt, mask, 1, config, rng)[0]
 
 
 # ---------------------------------------------------------------------------

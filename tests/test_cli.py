@@ -385,6 +385,32 @@ class TestSampleCommand:
         assert capsys.readouterr().err == "error: ValueError: count must be positive\n"
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            (["--width", "8"], "pass both --width and --height"),
+            (["--height", "2"], "pass both --width and --height"),
+            (["--width", "-4", "--height", "-4"], "image dimensions must be positive"),
+            (["--width", "0", "--height", "16"], "image dimensions must be positive"),
+            (["--gibbs", "-1"], "gibbs sweeps must be non-negative"),
+        ],
+        ids=["width_only", "height_only", "negative", "zero_width", "negative_gibbs"],
+    )
+    def test_bad_options_rejected(self, workdir, tmp_path, capsys, options, message):
+        out_dir = tmp_path / "none"
+        rc = main(
+            [
+                "sample",
+                "--model", str(workdir / "model.bihm"),
+                "--count", "2",
+                *options,
+                "--out", str(out_dir),
+            ]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: ValueError: {message}")
+        assert not out_dir.exists()
+
     def test_non_square_needs_geometry(self, tmp_path, capsys):
         save_checkpoint(zero_model([6, 2]), {}, str(tmp_path / "six.bihm"))
         rc = main(

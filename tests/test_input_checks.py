@@ -31,7 +31,7 @@ from bihm.model import (
     sample_q_rows,
 )
 from bihm.oracle import exact_grad_log_ptilde, exact_log_p, exact_log_ptilde
-from bihm.sampling import GibbsConfig, GibbsState, gibbs_sample, inpaint_chains
+from bihm.sampling import GibbsConfig, inpaint_chains
 from bihm.training import TrainConfig, minibatch_gradient, train
 
 MODEL = random_model((3, 2, 2), np.random.default_rng(0))
@@ -68,7 +68,6 @@ ENTRY_POINTS = {
         True,
         lambda m: inpaint_chains(MODEL, np.zeros(3), m, 2, GIBBS, rng()),
     ),
-    "gibbs_sample": (1, True, lambda x: gibbs_sample(MODEL, GibbsState(x, LATENTS), GIBBS, rng())),
 }
 
 ROW = np.array([0.0, 1.0, 1.0])

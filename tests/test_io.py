@@ -371,6 +371,11 @@ class TestPgm:
             write_pgm([-0.1, 0.5], 2, 1, path)
         with pytest.raises(ValueError, match="must lie in"):
             write_pgm([0.0, np.nan], 2, 1, path)
+        # Dimensions below 1 would write a header that read_pgm rejects.
+        for image, width, height in ((np.zeros(0), 0, 5), (np.zeros(4), -2, -2)):
+            with pytest.raises(ValueError, match="must be positive"):
+                write_pgm(image, width, height, path)
+        assert not (tmp_path / "bad.pgm").exists()
 
     def test_comments_in_header(self, tmp_path):
         path = str(tmp_path / "comment.pgm")

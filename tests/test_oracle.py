@@ -13,6 +13,7 @@ from bihm.model import LatentConfig, ShapeError, random_model, zero_model
 from bihm.oracle import (
     MAX_ENUM_BITS,
     EnumerationLimitError,
+    _log_p,
     bit_matrix,
     config_index,
     exact_bhattacharyya,
@@ -24,7 +25,6 @@ from bihm.oracle import (
     exact_log_ptilde_by_x,
     exact_log_z2,
     free_state_index,
-    oracle_report,
 )
 
 REFERENCE_SIZES = [
@@ -250,33 +250,13 @@ class TestEnumerationLimits:
                 call(wide_latent, x)
         # visible and latent bits together
         wide_total = zero_model([5, over - 5])
-        for call in (exact_log_ptilde_by_x, exact_log_z2, oracle_report):
+        for call in (exact_log_ptilde_by_x, exact_log_z2):
             with pytest.raises(EnumerationLimitError):
                 call(wide_total)
         # few free bits, but scoring each visible row sums over the latents
         clamped = [None, np.zeros(half, dtype=np.int8), np.zeros(over - half, dtype=np.int8)]
         with pytest.raises(EnumerationLimitError):
             exact_conditional_pstar(wide_latent, clamped)
-
-
-class TestOracleReport:
-    def test_report_contents(self):
-        model = random_model([2, 2], np.random.default_rng(35))
-        report = oracle_report(model, grad_x=[1.0, 0.0])
-        assert set(report.log_ptilde_by_x) == set(support.all_bit_tuples(2))
-        assert set(report.log_p_by_x) == set(support.all_bit_tuples(2))
-        for key, value in report.log_ptilde_by_x.items():
-            assert abs(value - exact_log_ptilde(model, np.array(key, dtype=float))) < 1e-12
-        assert abs(report.log_z2 - exact_log_z2(model)) < 1e-12
-        assert_allclose(report.bhattacharyya, -0.5 * report.log_z2, rtol=1e-15)
-        expected = exact_grad_log_ptilde(model, np.array([1.0, 0.0]))
-        for (n1, a1), (n2, a2) in zip(report.exact_grad.param_items(), expected.param_items()):
-            assert n1 == n2
-            assert_array_equal(a1, a2)
-
-    def test_report_without_grad(self):
-        report = oracle_report(zero_model([2, 1]))
-        assert report.exact_grad is None
 
 
 class TestBlocking:
@@ -292,7 +272,7 @@ class TestBlocking:
                 exact_log_z2(model),
                 exact_grad_log_ptilde(model, x).params,
                 exact_conditional_pstar(model, free_visibles),
-                np.array(list(oracle_report(model).log_p_by_x.values())),
+                _log_p(model, None),
             )
 
         reference = values()

@@ -11,7 +11,6 @@ from bihm.model import (
     BeliefLayer,
     BihmModel,
     FactorizedPrior,
-    LatentConfig,
     ShapeError,
     bernoulli_step,
     random_model,
@@ -21,16 +20,11 @@ from bihm.model import (
 from bihm.oracle import exact_conditional_pstar, exact_log_ptilde
 from bihm.sampling import (
     GibbsConfig,
-    GibbsState,
     _categorical_rows,
     _update_chains,
     _visible_log_terms,
     expected_visible,
-    gibbs_sample,
     gibbs_sample_chains,
-    gibbs_update_hidden,
-    gibbs_update_visible,
-    inpaint,
     inpaint_chains,
 )
 
@@ -71,32 +65,6 @@ class TestConfigAndState:
             with pytest.raises(ValueError):
                 GibbsConfig(**bad)
 
-    def test_state_validation(self):
-        GibbsState(np.array([1.0, 0.0]), LatentConfig([np.array([1.0])]))
-        with pytest.raises(ValueError):
-            GibbsState(np.array([0.5, 0.0]), LatentConfig([np.array([1.0])]))
-        with pytest.raises(ShapeError):
-            GibbsState(np.zeros((2, 2)), LatentConfig([np.array([1.0])]))
-
-    def test_state_model_mismatch(self):
-        model = zero_model([3, 2])
-        config = GibbsConfig(num_sweeps=1, proposals_per_step=2, ptilde_k=2)
-        bad_x = GibbsState(np.zeros(2), LatentConfig([np.zeros(2)]))
-        with pytest.raises(ShapeError):
-            gibbs_update_hidden(model, bad_x, 1, config, np.random.default_rng(0))
-        bad_h = GibbsState(np.zeros(3), LatentConfig([np.zeros(3)]))
-        with pytest.raises(ShapeError):
-            gibbs_update_visible(model, bad_h, config, np.random.default_rng(0))
-
-    def test_layer_index_range(self):
-        model = zero_model([3, 2])
-        state = GibbsState(np.zeros(3), LatentConfig([np.zeros(2)]))
-        config = GibbsConfig(num_sweeps=1, proposals_per_step=2, ptilde_k=2)
-        with pytest.raises(ValueError):
-            gibbs_update_hidden(model, state, 0, config, np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            gibbs_update_hidden(model, state, 2, config, np.random.default_rng(0))
-
 
 class TestResampling:
     def test_shift_invariant_selection(self):
@@ -117,10 +85,15 @@ class TestResampling:
 
     def test_single_proposal_update_is_deterministic_given_rng(self):
         model = random_model([3, 2], np.random.default_rng(114))
-        state = GibbsState(np.array([1.0, 0.0, 1.0]), LatentConfig([np.zeros(2)]))
         config = GibbsConfig(num_sweeps=1, proposals_per_step=1, ptilde_k=1)
-        a = gibbs_update_hidden(model, state, 1, config, np.random.default_rng(115))
-        b = gibbs_update_hidden(model, state, 1, config, np.random.default_rng(115))
+
+        def update():
+            chains = [np.array([[1.0, 0.0, 1.0]]), np.zeros((1, 2))]
+            _update_chains(model, chains, 1, config, np.random.default_rng(115))
+            return chains[1]
+
+        a, b = update(), update()
+        assert a.shape == (1, 2)
         assert_array_equal(a, b)
         assert set(np.unique(a)) <= {0.0, 1.0}
 
@@ -230,33 +203,6 @@ class TestChainStationarity:
         with pytest.raises(ValueError):
             gibbs_sample_chains(model, 0, config, np.random.default_rng(0))
 
-    def test_single_state_paths(self):
-        model = random_model([3, 2], np.random.default_rng(125))
-        config = GibbsConfig(num_sweeps=2, proposals_per_step=4, ptilde_k=3)
-        state = gibbs_sample(model, None, config, np.random.default_rng(126))
-        assert state.x.shape == (3,)
-        assert state.latents.layers[0].shape == (2,)
-        again = gibbs_sample(model, state, config, np.random.default_rng(127))
-        assert again.x.shape == (3,)
-        new_x = gibbs_update_visible(model, state, config, np.random.default_rng(128))
-        assert set(np.unique(new_x)) <= {0.0, 1.0}
-
-    def test_peak_memory_follows_the_block_budget(self, monkeypatch):
-        # The chains run in blocks under the float budget: the peak is the
-        # returned arrays (once as blocks, once joined) plus one block's
-        # work, not the candidates of every chain at once.
-        budget = 2**12
-        monkeypatch.setattr(estimators, "_BLOCK_FLOATS", budget)
-        model = random_model([20, 10, 5], np.random.default_rng(129))
-        tracemalloc.start()
-        try:
-            chains = gibbs_sample_chains(model, 8000, GibbsConfig(1, 5, 5), np.random.default_rng(130))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        output = sum(a.nbytes for a in chains)
-        assert peak < 3 * output + 16 * 8 * budget
-
     @pytest.mark.parametrize(
         "sizes, config",
         [
@@ -326,7 +272,7 @@ class TestInpainting:
         model = random_model([4, 3], np.random.default_rng(130))
         x = np.array([1.0, 0.0, 1.0, 1.0])
         config = GibbsConfig(num_sweeps=3, proposals_per_step=5, ptilde_k=4)
-        out = inpaint(model, x, np.ones(4), config, np.random.default_rng(131))
+        out = inpaint_chains(model, x, np.ones(4), 1, config, np.random.default_rng(131))[0]
         assert_array_equal(out, x)
 
     def test_observed_bits_never_change(self):
@@ -352,7 +298,8 @@ class TestInpainting:
     def test_all_free_mask_allowed(self):
         model = random_model([3, 2], np.random.default_rng(136))
         config = GibbsConfig(num_sweeps=2, proposals_per_step=4, ptilde_k=3)
-        out = inpaint(model, np.zeros(3), np.zeros(3), config, np.random.default_rng(137))
+        rng = np.random.default_rng(137)
+        out = inpaint_chains(model, np.zeros(3), np.zeros(3), 1, config, rng)[0]
         assert out.shape == (3,)
 
     def test_strong_model_completes_the_pattern(self):
@@ -384,14 +331,18 @@ class TestInpainting:
     def test_validation(self):
         model = zero_model([3, 2])
         config = GibbsConfig(num_sweeps=1, proposals_per_step=2, ptilde_k=2)
+
+        def one(x, mask):
+            return inpaint_chains(model, x, mask, 1, config, np.random.default_rng(0))[0]
+
         with pytest.raises(ShapeError):
-            inpaint(model, np.zeros(4), np.zeros(4), config, np.random.default_rng(0))
+            one(np.zeros(4), np.zeros(4))
         with pytest.raises(ShapeError):
-            inpaint(model, np.zeros(3), np.zeros(2), config, np.random.default_rng(0))
+            one(np.zeros(3), np.zeros(2))
         with pytest.raises(ValueError):
-            inpaint(model, np.full(3, 0.5), np.zeros(3), config, np.random.default_rng(0))
+            one(np.full(3, 0.5), np.zeros(3))
         with pytest.raises(ValueError):
-            inpaint(model, np.zeros(3), np.full(3, 2.0), config, np.random.default_rng(0))
+            one(np.zeros(3), np.full(3, 2.0))
 
 
 class TestExpectedVisible:
