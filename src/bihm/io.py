@@ -125,32 +125,35 @@ class Checkpoint:
 def _parse_text_rows(path: str, sep: Optional[str]) -> np.ndarray:
     rows = []
     width = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        byte = exc.object[exc.start]
+        raise FormatError(f"{path}: not UTF-8 text (byte {byte:#04x}: {exc.reason})") from None
+    for lineno, line in enumerate(lines, start=1):
+        stripped = line.strip()
+        if not stripped:
+            continue
+        tokens = stripped.split(sep)
+        values = []
+        for tok in tokens:
+            t = tok.strip()
+            if t == "0" or t == "1":
+                values.append(float(t))
                 continue
-            tokens = stripped.split(sep)
-            values = []
-            for tok in tokens:
-                t = tok.strip()
-                if t == "0" or t == "1":
-                    values.append(float(t))
-                    continue
-                try:
-                    v = float(t)
-                except ValueError:
-                    raise FormatError(f"{path}:{lineno}: value {t!r} is not 0 or 1") from None
-                if v not in (0.0, 1.0):
-                    raise FormatError(f"{path}:{lineno}: value {t!r} is not 0 or 1")
-                values.append(v)
-            if width is None:
-                width = len(values)
-            elif len(values) != width:
-                raise FormatError(
-                    f"{path}:{lineno}: row has {len(values)} values, expected {width}"
-                )
-            rows.append(values)
+            try:
+                v = float(t)
+            except ValueError:
+                raise FormatError(f"{path}:{lineno}: value {t!r} is not 0 or 1") from None
+            if v not in (0.0, 1.0):
+                raise FormatError(f"{path}:{lineno}: value {t!r} is not 0 or 1")
+            values.append(v)
+        if width is None:
+            width = len(values)
+        elif len(values) != width:
+            raise FormatError(f"{path}:{lineno}: row has {len(values)} values, expected {width}")
+        rows.append(values)
     if not rows:
         raise FormatError(f"{path}: no data rows")
     return np.asarray(rows, dtype=np.float64)

@@ -22,6 +22,10 @@ run one pass: :func:`log_joint_p` and :func:`log_q_given_x` score,
 a one-row batch, ``x[None]``.  :func:`layer_log_prob` and
 :func:`layer_sample` run the step for a single layer.
 
+A layer's activation is one 2-D BLAS matrix product over all leading axes
+of its input, and :func:`sigmoid` is built from numpy's vectorized ``exp``,
+in place on the fresh logits.
+
 Array arguments may carry leading batch axes: log-probability functions reduce
 over the last axis only, so ``layer_log_prob(layer, V, T)`` with ``V`` of shape
 ``(k, in_dim)`` returns ``k`` values.  Every stochastic operation takes an
@@ -36,7 +40,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.special import expit
 
 __all__ = [
     "BeliefLayer",
@@ -64,13 +67,21 @@ class ShapeError(ValueError):
 
 
 def sigmoid(a, out=None):
-    """Logistic function, unclamped; ``out=a`` takes it in place."""
-    return expit(a, out=out)
+    """Logistic function ``1 / (1 + exp(-a))``, unclamped; ``out=a`` takes it in place.
+
+    Built from numpy ufuncs, so the ``exp`` is numpy's vectorized one.  For
+    ``a < -709`` the ``exp`` overflows to inf and the result is exactly 0.0;
+    that overflow is expected and raises no warning.
+    """
+    with np.errstate(over="ignore"):
+        e = np.exp(np.negative(a, out=out), out=out)
+        e += 1.0
+        return np.divide(1.0, e, out=out)
 
 
 def clamped_sigmoid(a):
     """Logistic function clamped to ``[SIGMOID_EPS, 1 - SIGMOID_EPS]``."""
-    return np.clip(expit(a), SIGMOID_EPS, 1.0 - SIGMOID_EPS)
+    return np.clip(sigmoid(a), SIGMOID_EPS, 1.0 - SIGMOID_EPS)
 
 
 def _as_float_array(x) -> np.ndarray:
@@ -121,10 +132,16 @@ class BeliefLayer:
         return self.weights.shape[1]
 
     def activation(self, inputs: np.ndarray) -> np.ndarray:
-        """Pre-sigmoid logits ``W v + b`` for inputs with last dim ``in_dim``."""
-        out = inputs @ self.weights.T
+        """Pre-sigmoid logits ``W v + b`` for inputs with last dim ``in_dim``.
+
+        All leading axes are flattened into the rows of one 2-D matrix
+        product, one BLAS call, rather than one small product per leading
+        slice.  The flattening is a view of a contiguous input and copies
+        only a non-contiguous one.
+        """
+        out = inputs.reshape(-1, self.in_dim) @ self.weights.T
         out += self.biases
-        return out
+        return out.reshape(inputs.shape[:-1] + (self.out_dim,))
 
     def mean(self, inputs: np.ndarray) -> np.ndarray:
         """Unclamped Bernoulli means ``sigmoid(W v + b)``, taken in place on the fresh logits."""

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import struct
 
 import numpy as np
@@ -148,6 +149,15 @@ class TestTextDatasets:
         path = tmp_path / "bad.csv"
         path.write_text("1,x\n")
         with pytest.raises(FormatError, match=r"'x'"):
+            load_dataset(str(path))
+
+    @pytest.mark.parametrize(
+        "name, content", [("bad.amat", b"0 1\n\xff 1\n"), ("bad.csv", b"0,1\n\xff,1\n")]
+    )
+    def test_non_utf8_bytes(self, tmp_path, name, content):
+        path = tmp_path / name
+        path.write_bytes(content)
+        with pytest.raises(FormatError, match=re.escape(f"{name}: not UTF-8 text (byte 0xff")):
             load_dataset(str(path))
 
     def test_ragged_rows(self, tmp_path):

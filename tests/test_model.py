@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -78,6 +79,33 @@ class TestBeliefLayer:
         acts = layer.activation(np.ones((5, 3)))
         assert acts.shape == (5, 2)
         assert_allclose(acts, 3.0)
+        rng = np.random.default_rng(11)
+        layer = BeliefLayer(rng.normal(size=(4, 6)), rng.normal(size=4))
+        joint = rng.normal(size=(7, 10))
+        for inputs in (
+            rng.normal(size=(5, 3, 6)),  # (b, k, d)
+            rng.normal(size=(5, 1, 6)),  # (b, 1, d)
+            joint[None, :, 2:8],  # a column slice, as the oracle's enumeration takes
+            np.broadcast_to(rng.normal(size=6), (5, 3, 6)),
+        ):
+            acts = layer.activation(inputs)
+            assert acts.shape == inputs.shape[:-1] + (4,)
+            rows = [v @ layer.weights.T + layer.biases for v in inputs.reshape(-1, 6)]
+            assert_allclose(acts.reshape(-1, 4), rows, rtol=1e-12)
+
+    def test_contiguous_batch_is_not_copied(self):
+        rng = np.random.default_rng(12)
+        layer = BeliefLayer(rng.normal(size=(8, 500)), rng.normal(size=8))
+        inputs = rng.random((40, 10, 500))
+        tracemalloc.start()
+        try:
+            acts = layer.activation(inputs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The bias add may hold one ufunc buffer of np.getbufsize() floats;
+        # a copy of the input would add 1.6 MB.
+        assert peak < acts.nbytes + 8 * np.getbufsize() + 4096
 
     def test_inconsistent_shapes_rejected(self):
         with pytest.raises(ShapeError):
@@ -107,8 +135,19 @@ class TestSigmoids:
         assert clamped_sigmoid(0.0) == 0.5
 
     def test_matches_reference(self):
-        for a in (-7.3, -0.01, 0.0, 2.5, 11.0):
+        for a in (-7.3, -0.01, 0.0, 2.5, 11.0, -40.0, 40.0, 709.8, 1000.0):
             assert_allclose(sigmoid(a), support.stable_sigmoid(a), rtol=1e-14)
+        # Below a = -709 the reference is subnormal or zero and exp(-a) overflows:
+        # the result is exactly 0.0, with no warning.
+        for a in (-709.8, -1000.0):
+            assert support.stable_sigmoid(a) < np.finfo(float).tiny
+            assert sigmoid(a) == 0.0
+        a = np.array([-1000.0, -709.8, -40.0, 0.0, 40.0, 709.8, 1000.0])
+        expected = [support.stable_sigmoid(v) for v in a]
+        result = sigmoid(a, out=a)
+        assert result is a
+        assert a[0] == 0.0 and a[3] == 0.5 and a[-1] == 1.0
+        assert_allclose(a[2:], expected[2:], rtol=1e-14)
 
 
 class TestLayerLogProb:
