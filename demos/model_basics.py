@@ -10,7 +10,6 @@ probability is a sum of log sigmoid terms and can be printed exactly.
 import numpy as np
 
 from bihm.model import (
-    LatentConfig,
     log_joint_p,
     log_q_given_x,
     random_model,
@@ -25,10 +24,10 @@ rng = np.random.default_rng(0)
 # under p and 1/2 under q(h | x).
 model = zero_model([2, 1])
 x = np.array([1.0, 0.0])
-h = LatentConfig([np.array([1.0])])
+h = [np.array([1.0])]  # one array per latent layer, bottom-up
 print("zero model [2, 1]")
-print(f"  log p(x, h)   = {log_joint_p(model, x, [h.layers[0]]):.6f}  (ln 1/8 = {np.log(0.125):.6f})")
-print(f"  log q(h | x)  = {log_q_given_x(model, x, [h.layers[0]]):.6f}  (ln 1/2 = {np.log(0.5):.6f})")
+print(f"  log p(x, h)   = {log_joint_p(model, x, h):.6f}  (ln 1/8 = {np.log(0.125):.6f})")
+print(f"  log q(h | x)  = {log_q_given_x(model, x, h):.6f}  (ln 1/2 = {np.log(0.5):.6f})")
 
 # Random models draw Gaussian weights scaled by 1/sqrt(fan-in); the p and q
 # stacks are drawn independently, so the two joints genuinely disagree.

@@ -108,8 +108,10 @@ def _cmd_train(args) -> int:
         epochs=args.epochs,
         seed=args.seed,
     )
-    model, history = train(model, data.data, config, valid=valid, callbacks=[report])
-
+    # Phase 2's options are checked before phase 1 spends its epochs.
+    if args.finetune_epochs < 0:
+        raise ValueError(f"--finetune-epochs must be nonnegative, got {args.finetune_epochs}")
+    fine = None
     if args.finetune_epochs > 0:
         fine = dataclasses.replace(
             config,
@@ -118,6 +120,9 @@ def _cmd_train(args) -> int:
             epochs=args.finetune_epochs,
             seed=args.seed + 1,
         )
+    model, history = train(model, data.data, config, valid=valid, callbacks=[report])
+
+    if fine is not None:
         model, more = train(
             model,
             data.data,

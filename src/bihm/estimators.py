@@ -31,15 +31,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from bihm.model import (
-    BihmModel, LatentConfig, ShapeError, _checked_latents, _checked_visible, p_pass, q_pass
-)
+from bihm.model import BihmModel, _checked_visible, p_pass, q_pass
 
 __all__ = [
     "EstimateWithError",
     "WeightedSampleSet",
     "ZEstimateConfig",
-    "importance_weights",
     "draw_weighted_samples",
     "log_ptilde_from_weights",
     "log_p_from_weights",
@@ -111,14 +108,10 @@ class ZEstimateConfig:
 class WeightedSampleSet:
     """K latent samples for one visible vector, with importance weights.
 
-    Samples are stored stacked, one ``(K, d_l)`` array per latent layer, so
-    the estimators can stay vectorized; the ``samples`` property materializes
-    the list-of-configurations view on demand (O(K) work, intended for
-    inspection rather than inner loops).
-
-    ``log_w`` holds the unnormalized log-weights; ``log_w_normalized`` the
-    log of the softmax-normalized weights, which exponentiate to a vector
-    summing to 1.
+    ``layer_arrays`` holds the samples as one ``(K, d_l)`` array per latent
+    layer, bottom-up.  ``log_w`` holds the unnormalized log-weights;
+    ``log_w_normalized`` the log of the softmax-normalized weights, which
+    exponentiate to a vector summing to 1.
     """
 
     layer_arrays: tuple
@@ -129,55 +122,17 @@ class WeightedSampleSet:
     def num_samples(self) -> int:
         return self.log_w.shape[0]
 
-    @property
-    def samples(self) -> list:
-        return [
-            LatentConfig([a[i] for a in self.layer_arrays])
-            for i in range(self.num_samples)
-        ]
 
+def log_weights(model: BihmModel, x, k: int = 1, rng=None, keep_means=False):
+    """Half log-ratios ``(log p(x,h) - log q(h|x)) / 2`` of ``k`` samples ``h ~ q(. | x)``.
 
-def _stacked_layers(model: BihmModel, samples) -> list:
-    """Normalize samples to one (K, d_l) float array per latent layer, K >= 1 shared by all."""
-    seq = list(samples)
-    if not seq:
-        raise ValueError("need at least one sample")
-    if isinstance(seq[0], LatentConfig):
-        seq = [np.stack(layer) for layer in zip(*(_checked_latents(model, s) for s in seq))]
-    layers = _checked_latents(model, seq, ndim=2)
-    counts = {a.shape[0] for a in layers}
-    if len(counts) != 1 or 0 in counts:
-        raise ShapeError(f"latent layers need one shared positive sample count, got {sorted(counts)}")
-    return layers
-
-
-def log_weights(model: BihmModel, x, layers=None, k: int = 1, rng=None, keep_means=False):
-    """Half log-ratios ``(log p(x,h) - log q(h|x)) / 2`` of samples ``h ~ q(. | x)``.
-
-    Draws ``k`` samples per visible vector when ``layers`` is None (shapes as
-    in :func:`bihm.model.q_pass`), and otherwise weighs the given layers,
-    which broadcast against ``x``.  Returns ``(log_w, p, q)``: the weights and
+    Draws ``k`` samples per visible vector (shapes as in
+    :func:`bihm.model.q_pass`).  Returns ``(log_w, p, q)``: the weights and
     the two passes behind them.
     """
-    q = q_pass(model, x, layers, k=k, rng=rng, keep_means=keep_means)
-    p = p_pass(model, x[..., None, :] if layers is None else x, q.layers, keep_means=keep_means)
+    q = q_pass(model, x, k=k, rng=rng, keep_means=keep_means)
+    p = p_pass(model, x[..., None, :], q.layers, keep_means=keep_means)
     return 0.5 * (p.log_prob - q.log_prob), p, q
-
-
-def _weighted_set(layers, log_w) -> WeightedSampleSet:
-    return WeightedSampleSet(tuple(layers), log_w, log_w - logsumexp(log_w))
-
-
-def importance_weights(model: BihmModel, x, samples) -> WeightedSampleSet:
-    """Weight the given latent samples for visible vector ``x``.
-
-    ``samples`` is a nonempty list of latent configurations (or equivalently
-    one stacked ``(K, d_l)`` array per layer).  ``x`` and the samples must
-    be 0 or 1.  Deterministic given inputs.
-    """
-    layers = _stacked_layers(model, samples)
-    xs = _checked_visible(model, x, 1, "x", binary=True)
-    return _weighted_set(layers, log_weights(model, xs, layers)[0])
 
 
 def draw_weighted_samples(model: BihmModel, x, k: int, rng: np.random.Generator) -> WeightedSampleSet:
@@ -189,7 +144,7 @@ def draw_weighted_samples(model: BihmModel, x, k: int, rng: np.random.Generator)
     if k < 1:
         raise ValueError("k must be positive")
     log_w, _, q = log_weights(model, _checked_visible(model, x, 1, "x", binary=True), k=k, rng=rng)
-    return _weighted_set(q.layers, log_w)
+    return WeightedSampleSet(tuple(q.layers), log_w, log_w - logsumexp(log_w))
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,6 @@ __all__ = [
     "BeliefLayer",
     "BihmModel",
     "FactorizedPrior",
-    "LatentConfig",
     "ModelGradient",
     "ShapeError",
     "SIGMOID_EPS",
@@ -166,31 +165,6 @@ class FactorizedPrior:
     @property
     def dim(self) -> int:
         return self.biases.shape[0]
-
-
-@dataclass(frozen=True)
-class LatentConfig:
-    """One joint binary assignment to the latent layers ``h_1 .. h_L``.
-
-    ``layers[0]`` is the layer closest to the visibles.
-    """
-
-    layers: tuple
-
-    def __init__(self, layers: Sequence[np.ndarray]):
-        arrays = []
-        for i, h in enumerate(layers):
-            a = _as_float_array(h)
-            if a.ndim != 1:
-                raise ShapeError(f"latent layer {i + 1} must be a vector, got {a.shape}")
-            _check_binary(f"latent layer {i + 1}", a)
-            arrays.append(a)
-        if not arrays:
-            raise ShapeError("a latent configuration needs at least one layer")
-        object.__setattr__(self, "layers", tuple(arrays))
-
-    def __len__(self) -> int:
-        return len(self.layers)
 
 
 def param_layout(layer_sizes) -> list:
@@ -370,10 +344,6 @@ class ModelGradient:
     def zeros_for(cls, model: BihmModel) -> "ModelGradient":
         return cls(model.layer_sizes, np.zeros_like(model.params))
 
-    @property
-    def d_prior_biases(self) -> np.ndarray:
-        return param_views(self.params, self.layer_sizes)["prior.biases"]
-
     def param_items(self):
         """Same names and order as :meth:`BihmModel.param_items`."""
         return list(param_views(self.params, self.layer_sizes).items())
@@ -468,21 +438,22 @@ def p_pass(model: BihmModel, x=None, layers=None, k: int = 1, rng=None, keep_mea
     return Pass(hs[0], hs[1:], log_p, means if keep_means else None)
 
 
-def weighted_gradient(model: BihmModel, weights, x, layers, p_means, q_means) -> ModelGradient:
-    """Weighted sum of the gradients of ``log p(x, h) + log q(h | x)``.
+def weighted_gradient(
+    model: BihmModel, grad: ModelGradient, weights, x, layers, p_means, q_means
+) -> None:
+    """Add the weighted sum of the gradients of ``log p(x, h) + log q(h | x)`` into ``grad``.
 
     ``weights`` has shape ``(b, k)``, ``x`` broadcasts to ``(b, k,
     visible_dim)`` and ``layers`` holds one array per latent layer, bottom-up,
     that broadcasts to ``(b, k, d_l)``.  ``p_means`` and ``q_means`` are the
     :class:`Pass` means of the two passes that scored them, so no activation
     is recomputed.  Each layer sees only its own (input, target) pair; its
-    weighted gradient is written straight into the flat gradient vector.
+    weighted gradient is added straight into the flat vector ``grad.params``.
     """
-    grad = ModelGradient.zeros_for(model)
     out = param_views(grad.params, model.layer_sizes)
     L = model.num_latent_layers
     x = np.broadcast_to(x, np.shape(weights) + (model.visible_dim,))
-    out["prior.biases"][...] = np.einsum(
+    out["prior.biases"] += np.einsum(
         "bk,bkd->d", weights, layers[L - 1] - p_means[L], optimize=True
     )
     for i in range(L):
@@ -492,11 +463,10 @@ def weighted_gradient(model: BihmModel, weights, x, layers, p_means, q_means) ->
             (f"q{i + 1}", below, layers[i], q_means[i]),
         ):
             delta = targets - mean
-            out[name + ".weights"][...] = np.einsum(
+            out[name + ".weights"] += np.einsum(
                 "bk,bko,bki->oi", weights, delta, inputs, optimize=True
             )
-            out[name + ".biases"][...] = np.einsum("bk,bko->o", weights, delta, optimize=True)
-    return grad
+            out[name + ".biases"] += np.einsum("bk,bko->o", weights, delta, optimize=True)
 
 
 # ---------------------------------------------------------------------------
@@ -547,23 +517,18 @@ def _checked_visible(model: BihmModel, x, ndim: int, what: str, binary=False) ->
     return xs
 
 
-def _checked_latents(model: BihmModel, h, ndim=None) -> list:
+def _checked_latents(model: BihmModel, h) -> list:
     """The layers of ``h``, bottom-up, as float arrays, their count, widths and entries checked.
 
-    ``h`` is a :class:`LatentConfig` or one array per latent layer; leading
-    batch axes are free unless ``ndim`` fixes each layer's axis count.  Every
-    entry must be 0 or 1 (a ``LatentConfig`` checked that when it was made).
+    ``h`` is a sequence of one array per latent layer, leading batch axes
+    free.  Every entry must be 0 or 1.
     """
-    config = isinstance(h, LatentConfig)
-    hs = list(h.layers) if config else [_as_float_array(a) for a in h]
+    hs = [_as_float_array(a) for a in h]
     if len(hs) != model.num_latent_layers:
         raise ShapeError(f"expected {model.num_latent_layers} latent layers, got {len(hs)}")
     for i, a in enumerate(hs):
         _check_last_dim(f"latent layer {i + 1}", a, model.layer_sizes[i + 1])
-        if ndim is not None and a.ndim != ndim:
-            raise ShapeError(f"latent layer {i + 1} must have {ndim} axes, got shape {a.shape}")
-        if not config:
-            _check_binary(f"latent layer {i + 1}", a)
+        _check_binary(f"latent layer {i + 1}", a)
     return hs
 
 
@@ -583,8 +548,8 @@ def log_joint_p(model: BihmModel, x, h) -> np.ndarray:
     """Log of the top-down joint: prior times the p-stack conditionals.
 
     ``log p(x, h) = log p(h_L) + sum_l log p(h_{l-1} | h_l)`` with
-    ``h_0 = x``.  Accepts a :class:`LatentConfig` or a sequence of layer
-    arrays; leading batch axes broadcast across all of them.  ``x`` and
+    ``h_0 = x``.  ``h`` is a sequence of one array per latent layer,
+    bottom-up; leading batch axes broadcast across all of them.  ``x`` and
     ``h`` must be 0 or 1.
     """
     return p_pass(model, *_checked_joint(model, x, h, score_x=True)).log_prob

@@ -53,7 +53,6 @@ __all__ = [
     "exact_bhattacharyya",
     "exact_grad_log_ptilde",
     "exact_conditional_pstar",
-    "free_state_index",
 ]
 
 MAX_ENUM_BITS = 24
@@ -201,7 +200,7 @@ def exact_grad_log_ptilde(model: BihmModel, x) -> ModelGradient:
     for _, _, layers in _blocks(model, 1):
         half, p, q = _log_sqrt_pq(model, xs, layers, keep_means=True)
         gamma = np.exp(half - log_norm)
-        grad.params += weighted_gradient(model, gamma, xs, layers, p.means, q.means).params
+        weighted_gradient(model, grad, gamma, xs, layers, p.means, q.means)
     return grad
 
 
@@ -230,34 +229,10 @@ def _clamp_spec(model: BihmModel, clamped) -> list:
         a = np.asarray(entry)
         if a.shape != (sizes[i],):
             raise ShapeError(f"layer {i} clamp has shape {a.shape}, expected ({sizes[i]},)")
-        ai = a.astype(np.int8)
-        if not np.all((ai == -1) | (ai == 0) | (ai == 1)) or not np.all(ai == a):
+        if not np.all((a == -1) | (a == 0) | (a == 1)):
             raise ValueError("clamp entries must be 0, 1 or -1 (free)")
-        out.append(ai)
+        out.append(a.astype(np.int8))
     return out
-
-
-def _free_positions(spec: list) -> list:
-    return [(i, j) for i, layer in enumerate(spec) for j in np.nonzero(layer == -1)[0]]
-
-
-def free_state_index(model: BihmModel, clamped, state) -> int:
-    """Index of a full assignment within the free-bit enumeration order.
-
-    ``state`` lists one binary array per layer, visibles first; it must agree
-    with the clamped bits.  The index matches the ordering of the vector
-    returned by :func:`exact_conditional_pstar`.
-    """
-    spec = _clamp_spec(model, clamped)
-    arrays = [np.asarray(s) for s in state]
-    bits = []
-    for (i, j) in _free_positions(spec):
-        bits.append(arrays[i][j])
-    for i, layer in enumerate(spec):
-        fixed = layer >= 0
-        if not np.all(arrays[i][fixed] == layer[fixed]):
-            raise ValueError(f"state disagrees with clamped bits in layer {i}")
-    return config_index(np.asarray(bits)) if bits else 0
 
 
 def exact_conditional_pstar(model: BihmModel, clamped) -> np.ndarray:
@@ -274,7 +249,7 @@ def exact_conditional_pstar(model: BihmModel, clamped) -> np.ndarray:
     returned length follows the float budget.
     """
     spec = _clamp_spec(model, clamped)
-    free = _free_positions(spec)
+    free = [(i, j) for i, layer in enumerate(spec) for j in np.nonzero(layer == -1)[0]]
     n_free = len(free)
     if n_free > MAX_FREE_BITS:
         raise EnumerationLimitError(

@@ -134,7 +134,7 @@ def minibatch_gradient(
         w = np.exp(lw - lw.max(axis=1, keepdims=True))
         w /= w.sum(axis=1, keepdims=True)
         w /= x.shape[0]
-        grad.params += weighted_gradient(model, w, rows[:, None, :], q.layers, p.means, q.means).params
+        weighted_gradient(model, grad, w, rows[:, None, :], q.layers, p.means, q.means)
     return grad
 
 

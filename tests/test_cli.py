@@ -129,6 +129,31 @@ class TestTrainCommand:
         assert meta["finetune_epochs"] == 2
         assert meta["finetune_k"] == 4
 
+    @pytest.mark.parametrize(
+        "options",
+        [["--finetune-k", "-3"], ["--finetune-lr", "-1"], ["--finetune-epochs", "-2"]],
+        ids=["negative_k", "negative_lr", "negative_epochs"],
+    )
+    def test_bad_finetune_options_rejected_before_training(self, workdir, tmp_path, capsys, options):
+        rc = main(
+            [
+                "train",
+                "--data", str(workdir / "bars.bbm"),
+                "--layers", "4",
+                "--k", "2",
+                "--epochs", "2",
+                "--batch", "30",
+                "--finetune-epochs", "1",
+                *options,
+                "--out", str(tmp_path / "no.bihm"),
+            ]
+        )
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err.startswith("error: ValueError:")
+        assert captured.out == ""
+        assert not (tmp_path / "no.bihm").exists()
+
     def test_bad_layer_spec(self, workdir, tmp_path, capsys):
         rc = main(
             [

@@ -23,11 +23,10 @@ from bihm.estimators import (
     est_log_ptilde,
     est_log_ptilde_rows,
     est_log_z2,
-    importance_weights,
     log_p_from_weights,
     log_ptilde_from_weights,
 )
-from bihm.model import LatentConfig, ShapeError, random_model, sample_q_rows, zero_model
+from bihm.model import ShapeError, random_model, zero_model
 from bihm.oracle import exact_log_p, exact_log_ptilde, exact_log_z2
 
 
@@ -70,45 +69,10 @@ class TestWeightedSampleSet:
         ws = draw_weighted_samples(model, np.array([1.0, 0.0, 1.0, 1.0]), 64, np.random.default_rng(3))
         assert abs(np.exp(ws.log_w_normalized).sum() - 1.0) < 1e-12
 
-    def test_samples_property(self):
-        model = zero_model([2, 2, 1])
-        ws = draw_weighted_samples(model, np.zeros(2), 4, np.random.default_rng(4))
-        configs = ws.samples
-        assert len(configs) == 4
-        for k, config in enumerate(configs):
-            assert isinstance(config, LatentConfig)
-            for l, layer in enumerate(config.layers):
-                assert_array_equal(layer, ws.layer_arrays[l][k])
-
-    def test_config_list_matches_stacked(self):
-        model = random_model([3, 2, 2], np.random.default_rng(5))
-        x = np.array([1.0, 0.0, 1.0])
-        stacked = [a[0] for a in sample_q_rows(model, x[None], 6, np.random.default_rng(6))]
-        configs = [
-            LatentConfig([layer[k] for layer in stacked]) for k in range(6)
-        ]
-        a = importance_weights(model, x, stacked)
-        b = importance_weights(model, x, configs)
-        assert_array_equal(a.log_w, b.log_w)
-        for la, lb in zip(a.layer_arrays, b.layer_arrays):
-            assert_array_equal(la, lb)
-
     def test_empty_rejected(self):
         model = zero_model([2, 1])
         with pytest.raises(ValueError):
-            importance_weights(model, np.zeros(2), [])
-        with pytest.raises(ValueError):
             draw_weighted_samples(model, np.zeros(2), 0, np.random.default_rng(0))
-
-    @pytest.mark.parametrize(
-        "layers",
-        [[np.zeros((0, 2))] * 2, [np.zeros((4, 2)), np.zeros((3, 2))]],
-        ids=["zero_samples", "ragged"],
-    )
-    def test_sample_counts_must_be_shared_and_positive(self, layers):
-        model = random_model([3, 2, 2], np.random.default_rng(7))
-        with pytest.raises(ShapeError):
-            importance_weights(model, np.zeros(3), layers)
 
 
 class TestExactlyUniformCase:

@@ -18,10 +18,8 @@ from bihm.estimators import (
     est_log_p_rows,
     est_log_ptilde,
     est_log_ptilde_rows,
-    importance_weights,
 )
 from bihm.model import (
-    LatentConfig,
     ShapeError,
     layer_log_prob,
     log_joint_p,
@@ -35,7 +33,7 @@ from bihm.sampling import GibbsConfig, inpaint_chains
 from bihm.training import TrainConfig, minibatch_gradient, train
 
 MODEL = random_model((3, 2, 2), np.random.default_rng(0))
-LATENTS = LatentConfig([np.zeros(2), np.ones(2)])
+LATENTS = [np.zeros(2), np.ones(2)]
 GIBBS = GibbsConfig(num_sweeps=1, proposals_per_step=2, ptilde_k=2)
 
 
@@ -49,7 +47,6 @@ ENTRY_POINTS = {
     "est_log_p": (1, True, lambda x: est_log_p(MODEL, x, 4, rng())),
     "est_log_ptilde_rows": (2, True, lambda x: est_log_ptilde_rows(MODEL, x, 4, rng())),
     "est_log_p_rows": (2, True, lambda x: est_log_p_rows(MODEL, x, 4, rng())),
-    "importance_weights": (1, True, lambda x: importance_weights(MODEL, x, [LATENTS])),
     "draw_weighted_samples": (1, True, lambda x: draw_weighted_samples(MODEL, x, 4, rng())),
     "minibatch_gradient": (2, True, lambda x: minibatch_gradient(MODEL, x, 4, rng())),
     "train": (2, True, lambda x: train(MODEL, x, TrainConfig(k_train=2, epochs=1), z_outer=5)),
@@ -111,7 +108,6 @@ HALF_TARGETS = {
     "log_joint_p_h": lambda: log_joint_p(MODEL, ROW, [HALF, np.ones(2)]),
     "log_q_given_x_h": lambda: log_q_given_x(MODEL, ROW, [np.zeros(2), HALF]),
     "layer_log_prob": lambda: layer_log_prob(LAYER, np.ones(2), np.array([1.0, 0.5, 0.0])),
-    "importance_weights_h": lambda: importance_weights(MODEL, ROW, [HALF[None], np.ones((1, 2))]),
 }
 
 

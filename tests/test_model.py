@@ -17,7 +17,7 @@ from bihm.model import (
     BeliefLayer,
     BihmModel,
     FactorizedPrior,
-    LatentConfig,
+    ModelGradient,
     ShapeError,
     bernoulli_step,
     clamped_sigmoid,
@@ -62,7 +62,8 @@ def q1_gradient(layer, v, t):
     x, h = v[None, None], [t[None, None]]
     p = p_pass(model, x, h, keep_means=True)
     q = q_pass(model, x, h, keep_means=True)
-    grad = weighted_gradient(model, np.ones((1, 1)), x, h, p.means, q.means)
+    grad = ModelGradient.zeros_for(model)
+    weighted_gradient(model, grad, np.ones((1, 1)), x, h, p.means, q.means)
     views = param_views(grad.params, model.layer_sizes)
     return views["q1.weights"], views["q1.biases"]
 
@@ -314,7 +315,7 @@ class TestJointLogProbs:
         # p(x, h) = 0.5 * 0.5 * 0.25 and q(h | x) = 0.5 * 0.5.
         model = zero_model([2, 1, 1])
         x = np.array([1.0, 0.0])
-        h = LatentConfig([np.array([1.0]), np.array([0.0])])
+        h = [np.array([1.0]), np.array([0.0])]
         assert abs(log_joint_p(model, x, h) - math.log(0.5 * 0.5 * 0.25)) < 1e-12
         assert abs(log_joint_p(model, x, h) - (-2.7725887222397811)) < 1e-12
         assert abs(log_q_given_x(model, x, h) - math.log(0.25)) < 1e-12
@@ -325,7 +326,7 @@ class TestJointLogProbs:
         for _ in range(10):
             x = (rng.random(3) < 0.5).astype(float)
             hs = tuple(tuple(int(b) for b in (rng.random(2) < 0.5)) for _ in range(2))
-            h = LatentConfig([np.array(layer, dtype=float) for layer in hs])
+            h = [np.array(layer, dtype=float) for layer in hs]
             assert abs(log_joint_p(model, x, h) - math.log(support.p_joint(model, tuple(x), hs))) < 1e-12
             assert abs(log_q_given_x(model, x, h) - math.log(support.q_conditional(model, tuple(x), hs))) < 1e-12
 
@@ -333,14 +334,14 @@ class TestJointLogProbs:
         rng = np.random.default_rng(10)
         model = random_model([3, 2, 2], rng)
         x = np.array([1.0, 1.0, 0.0])
-        h = LatentConfig([np.array([0.0, 1.0]), np.array([1.0, 1.0])])
+        h = [np.array([0.0, 1.0]), np.array([1.0, 1.0])]
         manual_p = (
-            prior_log_prob(model.prior, h.layers[1])
-            + layer_log_prob(model.p_layers[1], h.layers[1], h.layers[0])
-            + layer_log_prob(model.p_layers[0], h.layers[0], x)
+            prior_log_prob(model.prior, h[1])
+            + layer_log_prob(model.p_layers[1], h[1], h[0])
+            + layer_log_prob(model.p_layers[0], h[0], x)
         )
-        manual_q = layer_log_prob(model.q_layers[0], x, h.layers[0]) + layer_log_prob(
-            model.q_layers[1], h.layers[0], h.layers[1]
+        manual_q = layer_log_prob(model.q_layers[0], x, h[0]) + layer_log_prob(
+            model.q_layers[1], h[0], h[1]
         )
         assert abs(log_joint_p(model, x, h) - manual_p) < 1e-12
         assert abs(log_q_given_x(model, x, h) - manual_q) < 1e-12
@@ -375,15 +376,15 @@ class TestJointLogProbs:
             model.layer_sizes, model.prior, model.p_layers, (permuted,) + model.q_layers[1:]
         )
         x = np.array([1.0, 0.0, 0.0, 1.0])
-        h = LatentConfig([np.array([1.0, 0.0, 1.0]), np.array([0.0, 1.0])])
+        h = [np.array([1.0, 0.0, 1.0]), np.array([0.0, 1.0])]
         assert abs(log_q_given_x(model, x, h) - log_q_given_x(model2, x[perm], h)) < 1e-12
 
     def test_latent_count_mismatch(self):
         model = zero_model([2, 1, 1])
         with pytest.raises(ShapeError):
-            log_joint_p(model, np.zeros(2), LatentConfig([np.zeros(1)]))
+            log_joint_p(model, np.zeros(2), [np.zeros(1)])
         with pytest.raises(ShapeError):
-            log_q_given_x(model, np.zeros(2), LatentConfig([np.zeros(1)]))
+            log_q_given_x(model, np.zeros(2), [np.zeros(1)])
 
 
 class TestAncestralSampling:
@@ -496,6 +497,18 @@ class TestLayerGrad:
             fd = (hi - lo) / (2 * eps)
             assert abs(fd - d_biases[i]) / max(abs(fd), 1e-8) < 1e-6
 
+    def test_adds_into_the_given_gradient(self):
+        model = random_model([3, 2, 2], np.random.default_rng(21))
+        x = np.array([[[1.0, 0.0, 1.0]]])
+        h = [np.array([[[0.0, 1.0]]]), np.array([[[1.0, 1.0]]])]
+        p = p_pass(model, x, h, keep_means=True)
+        q = q_pass(model, x, h, keep_means=True)
+        fresh = ModelGradient.zeros_for(model)
+        weighted_gradient(model, fresh, np.ones((1, 1)), x, h, p.means, q.means)
+        grad = ModelGradient(model.layer_sizes, np.ones_like(model.params))
+        weighted_gradient(model, grad, np.ones((1, 1)), x, h, p.means, q.means)
+        assert_array_equal(grad.params, 1.0 + fresh.params)
+
 
 class TestModelConstruction:
     def test_zero_model(self):
@@ -562,11 +575,13 @@ class TestModelConstruction:
             BihmModel((3, 2), base.prior, wrong, base.q_layers)
 
     def test_latent_config_validation(self):
-        with pytest.raises(ValueError):
-            LatentConfig([np.array([0.0, 0.5])])
-        with pytest.raises(ShapeError):
-            LatentConfig([])
-        with pytest.raises(ShapeError):
-            LatentConfig([np.zeros((2, 2))])
-        config = LatentConfig([np.array([1.0, 0.0]), np.array([1.0])])
-        assert len(config) == 2
+        # Latents are one array per layer, checked by both scoring functions.
+        model = zero_model([2, 2, 1])
+        x = np.zeros(2)
+        for score in (log_joint_p, log_q_given_x):
+            with pytest.raises(ValueError, match="entries must be 0 or 1"):
+                score(model, x, [np.array([0.0, 0.5]), np.array([1.0])])
+            for wrong in ([], [np.zeros(2)], [np.zeros(3), np.zeros(1)]):
+                with pytest.raises(ShapeError):
+                    score(model, x, wrong)
+            assert np.isfinite(score(model, x, [np.array([1.0, 0.0]), np.array([1.0])]))

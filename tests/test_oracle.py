@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import support
 import bihm.estimators as estimators
-from bihm.model import LatentConfig, ShapeError, random_model, zero_model
+from bihm.model import ShapeError, random_model, zero_model
 from bihm.oracle import (
     MAX_ENUM_BITS,
     EnumerationLimitError,
@@ -24,7 +24,6 @@ from bihm.oracle import (
     exact_log_ptilde,
     exact_log_ptilde_by_x,
     exact_log_z2,
-    free_state_index,
 )
 
 REFERENCE_SIZES = [
@@ -192,24 +191,6 @@ class TestConditionals:
         )
         assert_allclose(probs, expected, atol=1e-10)
 
-    def test_free_state_index_round_trip(self):
-        model = random_model([3, 2], np.random.default_rng(34))
-        clamped = [np.array([-1, 0, -1]), np.array([-1, 1])]
-        free_bits = bit_matrix(3)
-        for row in range(8):
-            state = [
-                np.array([free_bits[row, 0], 0.0, free_bits[row, 1]]),
-                np.array([free_bits[row, 2], 1.0]),
-            ]
-            assert free_state_index(model, clamped, state) == row
-
-    def test_free_state_index_disagreement(self):
-        model = zero_model([3, 2])
-        clamped = [np.array([-1, 0, -1]), None]
-        state = [np.array([1.0, 1.0, 0.0]), np.zeros(2)]
-        with pytest.raises(ValueError):
-            free_state_index(model, clamped, state)
-
     def test_free_bit_cap(self):
         model = zero_model([10, 8])
         with pytest.raises(EnumerationLimitError):
@@ -225,8 +206,9 @@ class TestConditionals:
             exact_conditional_pstar(model, [np.zeros(4), None])
         with pytest.raises(ShapeError):
             exact_conditional_pstar(model, [np.zeros(3)])
-        with pytest.raises(ValueError):
-            exact_conditional_pstar(model, [np.array([0, 1, 2]), None])
+        for bad in (2, 0.5, np.nan, np.inf):
+            with pytest.raises(ValueError, match="clamp entries must be 0, 1 or -1"):
+                exact_conditional_pstar(model, [np.array([0, 1, bad]), None])
 
 
 class TestEnumerationLimits:

@@ -9,7 +9,6 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from bihm import estimators
 from bihm.model import (
-    LatentConfig,
     ModelGradient,
     ShapeError,
     log_joint_p,
@@ -131,8 +130,8 @@ class TestMinibatchGradient:
                 [
                     0.5
                     * (
-                        log_joint_p(model, x, LatentConfig([layers[0][i, k], layers[1][i, k]]))
-                        - log_q_given_x(model, x, LatentConfig([layers[0][i, k], layers[1][i, k]]))
+                        log_joint_p(model, x, [layers[0][i, k], layers[1][i, k]])
+                        - log_q_given_x(model, x, [layers[0][i, k], layers[1][i, k]])
                     )
                     for k in range(4)
                 ]
@@ -162,7 +161,7 @@ class TestMinibatchGradient:
         grad = minibatch_gradient(model, batch, 1, np.random.default_rng(73))
         layers = sample_q_rows(model, batch, 1, np.random.default_rng(73))
         expected_prior = (layers[0][:, 0] - 0.5).mean(axis=0)
-        assert np.all(np.abs(grad.d_prior_biases - expected_prior) < 1e-12)
+        assert np.all(np.abs(dict(grad.param_items())["prior.biases"] - expected_prior) < 1e-12)
 
     def test_uniform_model_prior_gradient(self):
         # With p = q the weights are uniform and the prior gradient is the
@@ -172,7 +171,7 @@ class TestMinibatchGradient:
         grad = minibatch_gradient(model, batch, 6, np.random.default_rng(75))
         layers = sample_q_rows(model, batch, 6, np.random.default_rng(75))
         expected = (layers[0] - 0.5).mean(axis=(0, 1))
-        assert np.all(np.abs(grad.d_prior_biases - expected) < 1e-12)
+        assert np.all(np.abs(dict(grad.param_items())["prior.biases"] - expected) < 1e-12)
 
     def test_converges_to_exact_gradient(self):
         model = random_model([3, 2, 2], np.random.default_rng(76))
