@@ -14,10 +14,10 @@ import os
 import sys
 
 import numpy as np
-from scipy.special import logsumexp
 
 from bihm.estimators import (
     ZEstimateConfig,
+    _logsumexp,
     est_log_z2,
     est_log_p_rows,
     est_log_ptilde_rows,
@@ -108,21 +108,20 @@ def _cmd_train(args) -> int:
         epochs=args.epochs,
         seed=args.seed,
     )
-    # Phase 2's options are checked before phase 1 spends its epochs.
+    # Phase 2's options are checked, even with phase 2 off (which runs no
+    # epoch of ``fine``), before phase 1 spends its epochs.
     if args.finetune_epochs < 0:
         raise ValueError(f"--finetune-epochs must be nonnegative, got {args.finetune_epochs}")
-    fine = None
-    if args.finetune_epochs > 0:
-        fine = dataclasses.replace(
-            config,
-            k_train=args.finetune_k or args.k,
-            learning_rate=args.finetune_lr if args.finetune_lr is not None else args.lr,
-            epochs=args.finetune_epochs,
-            seed=args.seed + 1,
-        )
+    fine = dataclasses.replace(
+        config,
+        k_train=args.finetune_k or args.k,
+        learning_rate=args.finetune_lr if args.finetune_lr is not None else args.lr,
+        epochs=max(args.finetune_epochs, 1),
+        seed=args.seed + 1,
+    )
     model, history = train(model, data.data, config, valid=valid, callbacks=[report])
 
-    if fine is not None:
+    if args.finetune_epochs > 0:
         model, more = train(
             model,
             data.data,
@@ -160,6 +159,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    z_config = ZEstimateConfig(args.z_outer, args.z_inner)
     model = load_checkpoint(args.model).model
     data = load_dataset(args.data)
     rng = np.random.default_rng(args.seed)
@@ -170,7 +170,7 @@ def _cmd_eval(args) -> int:
     else:
         values, ses = est_log_ptilde_rows(model, data.data, args.k, rng)
         if args.estimator == "pstar":
-            z = est_log_z2(model, ZEstimateConfig(args.z_outer, args.z_inner), rng)
+            z = est_log_z2(model, z_config, rng)
             # One log Z^2 estimate is shared by every row, so its error does
             # not average down with the row count.
             values = values - z.value
@@ -207,6 +207,8 @@ def _cmd_sample(args) -> int:
         raise ValueError("count must be positive")
     if args.gibbs < 0:
         raise ValueError("gibbs sweeps must be non-negative")
+    if args.prop_k < 1:
+        raise ValueError("--prop-k must be positive")
     width, height = _geometry(model.visible_dim, args.width, args.height)
     rng = np.random.default_rng(args.seed)
     if args.gibbs > 0:
@@ -320,12 +322,14 @@ def _check_gibbs(model, table, lz2, rng) -> list:
 
 def _cmd_oracle(args) -> int:
     sizes = _parse_sizes(args.dims)
+    if args.k < 1:
+        raise ValueError("--k must be positive")
     rng = np.random.default_rng(args.seed)
     model = random_model(sizes, rng)
     checks = []
     if args.checks != "grad":
         table = exact_log_ptilde_by_x(model)
-        lz2 = float(logsumexp(table))
+        lz2 = float(_logsumexp(table))
     if args.checks in ("all", "bound"):
         checks += _check_bound(model, table, lz2)
     if args.checks in ("all", "z"):

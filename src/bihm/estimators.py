@@ -29,7 +29,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from bihm.model import BihmModel, _checked_visible, p_pass, q_pass
 
@@ -144,12 +143,21 @@ def draw_weighted_samples(model: BihmModel, x, k: int, rng: np.random.Generator)
     if k < 1:
         raise ValueError("k must be positive")
     log_w, _, q = log_weights(model, _checked_visible(model, x, 1, "x", binary=True), k=k, rng=rng)
-    return WeightedSampleSet(tuple(q.layers), log_w, log_w - logsumexp(log_w))
+    return WeightedSampleSet(tuple(q.layers), log_w, log_w - _logsumexp(log_w))
 
 
 # ---------------------------------------------------------------------------
-# Log-mean-exp with delta-method standard errors
+# Log-sum-exp, and log-mean-exp with delta-method standard errors
 # ---------------------------------------------------------------------------
+
+
+def _logsumexp(a: np.ndarray):
+    """``log sum exp(a)`` over the last axis, shifted by each row's maximum.
+
+    Takes finite entries only: a row whose maximum is infinite gives nan.
+    """
+    m = a.max(axis=-1)
+    return m + np.log(np.exp(a - m[..., None]).sum(axis=-1))
 
 
 def _log_mean_se(log_terms: np.ndarray, errors=True):

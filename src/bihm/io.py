@@ -226,6 +226,8 @@ def save_dataset(dataset, path: str) -> None:
     if not isinstance(dataset, BinaryDataset):
         dataset = BinaryDataset(np.asarray(dataset))
     rows, cols = dataset.rows, dataset.cols
+    if cols < 1:
+        raise ValueError(f"dataset must have at least one column, got shape {dataset.data.shape}")
     packed = np.packbits(dataset.data.astype(np.uint8), axis=1, bitorder="little")
     with open(path, "wb") as fh:
         fh.write(_DATA_MAGIC)

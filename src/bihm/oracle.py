@@ -26,9 +26,8 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-from scipy.special import logsumexp
 
-from bihm.estimators import _spans
+from bihm.estimators import _logsumexp, _spans
 from bihm.model import (
     BihmModel,
     ModelGradient,
@@ -122,7 +121,7 @@ def _sum_over_h(model: BihmModel, xs, log_term) -> np.ndarray:
     out = np.full(1 << d0 if xs is None else xs.shape[0], -np.inf)
     for start, stop, layers in _blocks(model, out.shape[0]):
         x = bit_matrix(d0, start, stop) if xs is None else xs[start:stop]
-        block = logsumexp(log_term(x[:, None, :], layers), axis=1)
+        block = _logsumexp(log_term(x[:, None, :], layers))
         out[start:stop] = np.logaddexp(out[start:stop], block)
     return out
 
@@ -168,7 +167,7 @@ def exact_log_ptilde_by_x(model: BihmModel) -> np.ndarray:
 
 def exact_log_z2(model: BihmModel) -> float:
     """``log Z^2 = log sum_x ptilde(x)``; always <= 0, with 0 iff p = q."""
-    return float(logsumexp(exact_log_ptilde_by_x(model)))
+    return float(_logsumexp(exact_log_ptilde_by_x(model)))
 
 
 def exact_bhattacharyya(model: BihmModel) -> float:
@@ -273,5 +272,5 @@ def exact_conditional_pstar(model: BihmModel, clamped) -> np.ndarray:
             xs[:, vis] = bit_matrix(len(vis), start, stop)
             lpt[start:stop] = _log_sqrt_ptilde(model, xs)
         log_w += np.repeat(lpt, 1 << (n_free - len(vis)))
-    return np.exp(log_w - logsumexp(log_w))
+    return np.exp(log_w - _logsumexp(log_w))
 

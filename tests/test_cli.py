@@ -131,8 +131,13 @@ class TestTrainCommand:
 
     @pytest.mark.parametrize(
         "options",
-        [["--finetune-k", "-3"], ["--finetune-lr", "-1"], ["--finetune-epochs", "-2"]],
-        ids=["negative_k", "negative_lr", "negative_epochs"],
+        [
+            ["--finetune-epochs", "1", "--finetune-k", "-3"],
+            ["--finetune-epochs", "1", "--finetune-lr", "-1"],
+            ["--finetune-epochs", "-2"],
+            ["--finetune-k", "-3", "--finetune-lr", "-1"],
+        ],
+        ids=["negative_k", "negative_lr", "negative_epochs", "phase_off"],
     )
     def test_bad_finetune_options_rejected_before_training(self, workdir, tmp_path, capsys, options):
         rc = main(
@@ -143,7 +148,6 @@ class TestTrainCommand:
                 "--k", "2",
                 "--epochs", "2",
                 "--batch", "30",
-                "--finetune-epochs", "1",
                 *options,
                 "--out", str(tmp_path / "no.bihm"),
             ]
@@ -268,6 +272,22 @@ class TestEvalCommand:
         )
         assert rc == 1
         assert capsys.readouterr().err == "error: ValueError: k must be positive\n"
+
+    @pytest.mark.parametrize("estimator", ["ptilde", "p", "pstar"])
+    def test_z_options_checked_for_every_estimator(self, workdir, capsys, estimator):
+        rc = main(
+            [
+                "eval",
+                "--model", str(workdir / "model.bihm"),
+                "--data", str(workdir / "bars_valid.bbm"),
+                "--estimator", estimator,
+                "--z-outer", "-5",
+            ]
+        )
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err == "error: ValueError: k_outer and k_inner must be positive\n"
 
     def test_missing_model_file(self, workdir, capsys):
         rc = main(
@@ -418,8 +438,9 @@ class TestSampleCommand:
             (["--width", "-4", "--height", "-4"], "image dimensions must be positive"),
             (["--width", "0", "--height", "16"], "image dimensions must be positive"),
             (["--gibbs", "-1"], "gibbs sweeps must be non-negative"),
+            (["--prop-k", "0"], "--prop-k must be positive"),
         ],
-        ids=["width_only", "height_only", "negative", "zero_width", "negative_gibbs"],
+        ids=["width_only", "height_only", "negative", "zero_width", "negative_gibbs", "zero_prop_k"],
     )
     def test_bad_options_rejected(self, workdir, tmp_path, capsys, options, message):
         out_dir = tmp_path / "none"
@@ -549,6 +570,14 @@ class TestOracleCommand:
         assert rc == 0
         assert len(out.splitlines()) == 8
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("checks", ["bound", "gibbs"])
+    def test_k_checked_when_no_check_uses_it(self, capsys, checks):
+        rc = main(["oracle", "--dims", "3,2", "--checks", checks, "--k", "0"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err == "error: ValueError: --k must be positive\n"
 
     def test_bad_dims(self, capsys):
         rc = main(["oracle", "--dims", "3,zebra"])

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
+from scipy.special import logsumexp
 
 from bihm import estimators
 from bihm.estimators import (
@@ -350,6 +351,18 @@ class TestDegenerateWeights:
             log_ptilde_from_weights(np.array([0.0, np.nan]))
         with pytest.raises(ValueError):
             log_p_from_weights(np.array([0.0, np.inf]))
+
+
+class TestLogSumExp:
+    @pytest.mark.parametrize("shape", [(1,), (7,), (1000,), (5, 1), (3, 40), (64, 9)])
+    def test_matches_scipy_over_the_last_axis(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        a = rng.normal(0.0, 30.0, shape) - 500.0
+        assert_allclose(estimators._logsumexp(a), logsumexp(a, axis=-1), rtol=1e-14, atol=0)
+
+    def test_four_quarters_sum_to_exactly_one(self):
+        # exact_log_z2(zero_model([2, 1])) == 0.0 rests on this.
+        assert estimators._logsumexp(np.full(4, math.log(0.25))) == 0.0
 
 
 class TestEffectiveSampleSize:

@@ -70,6 +70,14 @@ class TestPackedDataset:
         back = load_dataset(path)
         assert back.data.shape == (0, 5)
 
+    def test_zero_column_dataset_is_not_written(self, tmp_path):
+        # load_dataset rejects a zero column count, so save_dataset must not
+        # write one.
+        path = tmp_path / "no_columns.bbm"
+        with pytest.raises(ValueError, match="at least one column"):
+            save_dataset(np.zeros((3, 0)), str(path))
+        assert not path.exists()
+
     def test_dataset_name_from_path(self, tmp_path):
         path = str(tmp_path / "mnist_like.bbm")
         save_dataset(np.ones((1, 3)), path)
