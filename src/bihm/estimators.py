@@ -21,10 +21,18 @@ means themselves are unbiased.
 ``est_log_z2`` targets the normalizer: with ``(x, h) ~ p`` and
 ``h' ~ q(. | x)``, the statistic ``sqrt(p(x,h') q(h|x) / (p(x,h) q(h'|x)))``
 has expectation exactly ``Z^2``.
+
+Rows (and outer samples) are independent, so they are scored in blocks that
+run two at a time: on the calling thread and, when the process may use two
+CPUs, on one worker thread.  Each block draws from its own generator, spawned
+from the caller's before any block runs, and the float budget covers both
+blocks in flight; a fixed seed and budget give the same output on any machine.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 import warnings
 from dataclasses import dataclass
 
@@ -49,27 +57,78 @@ __all__ = [
     "ess_pct",
 ]
 
-# Float budget of one block, the one budget of every bounded loop in the
-# package: the estimators' row blocks and sample tiles (rows x samples x
+# Float budget of what is in flight, the one budget of every bounded loop in
+# the package: the estimators' row blocks and sample tiles (rows x samples x
 # (visible + latent bits)), the row blocks of ``training.minibatch_gradient``,
 # the oracle's enumeration blocks, the Gibbs chain blocks and, within them, the
 # visible update's shared ptilde samples (chains x samples x (visible + latent
-# bits + proposals)).  Each loop cuts
-# its work with :func:`_spans`.  A block's real peak is about 5.5-6x the
-# budget, not 1x: the two passes keep their means, their score buffers and the
+# bits + proposals)).  Each loop cuts its work with :func:`_spans`; the loops
+# whose blocks run ``_IN_FLIGHT`` at a time (the estimators' row blocks and
+# the Gibbs chain blocks that hold them) cut at that share of the budget, so
+# it covers both blocks in flight.  A block's real peak is about 5.5-6x its
+# share, not 1x: the two passes keep their means, their score buffers and the
 # drawn layers alive at once, and the gradient adds its deltas.
 _BLOCK_FLOATS = 2**18
 
+# Blocks of :func:`_blocked_rows` that run at once: one on the calling
+# thread, one on a worker thread.
+_IN_FLIGHT = 2
 
-def _spans(n: int, item_floats: int) -> list:
+# CPUs this process may run on, read at import; with one, every block runs on
+# the calling thread.
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _spans(n: int, item_floats: int, in_flight: int = 1) -> list:
     """The ``(start, stop)`` ranges that cover ``range(n)`` in order.
 
-    Each holds at most ``max(1, _BLOCK_FLOATS // item_floats)`` items, so a
-    span of items of ``item_floats`` floats each stays under the budget
-    (one item at least).
+    Each holds at most ``max(1, _BLOCK_FLOATS // (in_flight * item_floats))``
+    items, so ``in_flight`` spans of items of ``item_floats`` floats each
+    stay under the budget together (one item each at least).
     """
-    step = max(1, _BLOCK_FLOATS // item_floats)
+    step = max(1, _BLOCK_FLOATS // (in_flight * item_floats))
     return [(a, min(a + step, n)) for a in range(0, n, step)]
+
+
+def _each_block(count: int, run) -> None:
+    """Call ``run(i)`` once for every ``i`` in ``range(count)``.
+
+    The calling thread and, when there are two blocks or more and two CPUs,
+    one worker thread take the next ``i`` from one lock-protected counter
+    until none is left, so a thread that is slowed down simply takes fewer
+    blocks.  A failure on either thread stops both from taking more, and is
+    raised here once the worker has ended.
+    """
+    if count < 2 or _CPUS < 2:
+        for i in range(count):
+            run(i)
+        return
+    lock = threading.Lock()
+    taken = 0
+    errors = []
+
+    def drain():
+        nonlocal taken
+        while True:
+            with lock:
+                if errors or taken == count:
+                    return
+                i = taken
+                taken += 1
+            try:
+                run(i)
+            except BaseException as exc:
+                errors.append(exc)
+                return
+
+    worker = threading.Thread(target=drain, name="bihm-blocks", daemon=True)
+    worker.start()
+    try:
+        drain()
+    finally:
+        worker.join()
+    if errors:
+        raise errors[0]
 
 
 @dataclass(frozen=True)
@@ -277,7 +336,7 @@ def est_log_z2(model: BihmModel, config: ZEstimateConfig, rng: np.random.Generat
     """
     ko, ki = config.k_outer, config.k_inner
 
-    def row_block(start, stop):
+    def row_block(start, stop, rng):
         outer = p_pass(model, k=stop - start, rng=rng)
         lq_outer = q_pass(model, outer.x, outer.layers).log_prob
 
@@ -292,7 +351,7 @@ def est_log_z2(model: BihmModel, config: ZEstimateConfig, rng: np.random.Generat
 
         return tile
 
-    per_outer = _blocked_rows(ko, ki, sum(model.layer_sizes), row_block)[0]
+    per_outer = _blocked_rows(ko, ki, sum(model.layer_sizes), row_block, rng)[0]
     value, se = _vector_log_mean_se(per_outer)
     return EstimateWithError(value, se, ko * ki)
 
@@ -318,29 +377,42 @@ def est_log_pstar(model: BihmModel, x, k: int, log_z2, rng: np.random.Generator)
 # ---------------------------------------------------------------------------
 
 
-def _blocked_rows(n: int, k: int, sample_floats: int, row_block, cols=(), errors=True):
+def _blocked_rows(n: int, k: int, sample_floats: int, row_block, rng, cols=(), errors=True):
     """Row-wise :func:`_log_mean_se` of ``n`` rows of ``k`` log terms, tile by tile.
 
     A row of ``k`` samples holds ``k * sample_floats`` floats (the
     estimators' samples hold their visible and latent bits), and the rows
-    come in :func:`_spans` of that; a row's samples come in spans too: one
-    tile ``(0, k)`` when a row fits the budget, and otherwise (each row then
-    a block of its own) tiles that each fit it.  ``row_block(start, stop)``
-    sets up the rows of one block and returns ``tile(m)``, which draws
-    ``m`` more samples for each of those rows and returns their
+    come in :func:`_spans` of that, ``_IN_FLIGHT`` blocks to the budget; a
+    row's samples come in spans too: one tile ``(0, k)`` when a row fits a
+    block's share, and otherwise (each row then a block of its own) tiles
+    that each fit it.  ``row_block(start, stop, rng)`` sets up the rows of
+    one block and returns ``tile(m)``, which draws ``m`` more samples for
+    each of those rows from ``rng`` and returns their
     ``(stop - start, *cols, m)`` log terms.  The tiles of a row fill its
     columns of one ``(rows, *cols, k)`` array, so :func:`_log_mean_se` sees
-    whole rows.  Returns ``(values, std_errors, ess)``, each of shape
-    ``(n, *cols)``, or with ``errors`` False the values alone.
+    whole rows.
+
+    The blocks run through :func:`_each_block`, on up to two threads.  Block
+    ``i`` draws only from child ``i`` of ``rng.spawn(blocks)``, and
+    ``row_block`` must use no other generator, so the result depends on the
+    seed and the budget, never on the threads or their timing.  Returns
+    ``(values, std_errors, ess)``, each of shape ``(n, *cols)``, or with
+    ``errors`` False the values alone.
     """
-    tiles = _spans(k, sample_floats)
+    tiles = _spans(k, sample_floats, _IN_FLIGHT)
+    blocks = _spans(n, k * sample_floats, _IN_FLIGHT)
+    streams = rng.spawn(len(blocks))
     out = np.empty((3 if errors else 1, n, *cols))
-    for start, stop in _spans(n, k * sample_floats):
-        tile = row_block(start, stop)
+
+    def run(i):
+        start, stop = blocks[i]
+        tile = row_block(start, stop, streams[i])
         terms = np.empty((stop - start, *cols, k))
         for a, b in tiles:
             terms[..., a:b] = tile(b - a)
         out[:, start:stop] = _log_mean_se(terms, errors)
+
+    _each_block(len(blocks), run)
     return out if errors else out[0]
 
 
@@ -356,7 +428,7 @@ def estimate_rows(model: BihmModel, xs, k: int, rng, squared=False):
     if k < 1:
         raise ValueError("k must be positive")
 
-    def row_block(start, stop):
+    def row_block(start, stop, rng):
         rows = x[start:stop]
 
         def tile(m):
@@ -365,7 +437,7 @@ def estimate_rows(model: BihmModel, xs, k: int, rng, squared=False):
 
         return tile
 
-    values, ses, ess_rows = _blocked_rows(x.shape[0], k, sum(model.layer_sizes), row_block)
+    values, ses, ess_rows = _blocked_rows(x.shape[0], k, sum(model.layer_sizes), row_block, rng)
     if not squared:
         values, ses = 2.0 * values, 2.0 * ses
     return values, ses, ess_rows
@@ -378,7 +450,7 @@ def est_log_ptilde_rows(model: BihmModel, xs, k: int, rng: np.random.Generator):
     drawn in blocks, and a row whose ``k`` samples exceed ``_BLOCK_FLOATS``
     floats in sample tiles, so the sample arrays stay under that budget
     whatever ``k``; beyond them memory holds the ``(rows, k)`` log-weights
-    of one block.
+    of the two blocks in flight.
     """
     return estimate_rows(model, xs, k, rng)[:2]
 

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from bihm.estimators import _blocked_rows, _log_mean_se, _spans
+from bihm.estimators import _IN_FLIGHT, _blocked_rows, _log_mean_se, _spans
 from bihm.model import (
     SIGMOID_EPS,
     BihmModel,
@@ -124,7 +124,8 @@ def _visible_log_terms(model, cand, h1, s, rng):
     target ``t`` scores ``t . l + sum log(1 - sigmoid(l))``, which is
     :func:`bernoulli_step`'s clamped score up to rounding.  The chains are
     the rows of :func:`bihm.estimators._blocked_rows`, each sample holding
-    its visible and latent floats and its P cross terms.
+    its visible and latent floats and its P cross terms; each block of
+    chains draws its samples from its own spawned stream of ``rng``.
     """
     c, p, _ = cand.shape
     L = model.num_latent_layers
@@ -133,7 +134,7 @@ def _visible_log_terms(model, cand, h1, s, rng):
     mu_q = sigmoid(lq)
     lq_norm = _log1m_sum(lq.copy())
 
-    def row_block(start, stop):
+    def row_block(start, stop, rng):
         x, mu_x = cand[start:stop], mu_q[start:stop]
         lq_x, lq_norm_x = lq[start:stop].swapaxes(1, 2), lq_norm[start:stop, None, :]
         rows = np.arange(stop - start)[:, None]
@@ -167,7 +168,7 @@ def _visible_log_terms(model, cand, h1, s, rng):
         return tile
 
     sample_floats = sum(model.layer_sizes) + p
-    lpt = 2.0 * _blocked_rows(c, s, sample_floats, row_block, (p,), errors=False)
+    lpt = 2.0 * _blocked_rows(c, s, sample_floats, row_block, rng, (p,), errors=False)
     return np.matmul(lq, h1[:, :, None])[..., 0] + lq_norm, lpt
 
 
@@ -227,15 +228,18 @@ def _run_chains(model, count, config, rng, init, mask=None, observed=None) -> li
 
     ``init(rows)`` gives the starting ``[X, H1, ..., HL]`` of a block.  The
     blocks are :func:`bihm.estimators._spans` of chains, each holding
-    ``proposals x widest layer`` candidate floats, so the candidate arrays
-    stay under the float budget whatever the chain count; the visible
-    update's shared ptilde samples are cut again within a block (see
-    :func:`_visible_log_terms`).  Each block is written into the output
-    arrays, allocated once, so the output is held once.  The draws depend
-    on that split: one generator serves the blocks in turn.
+    ``proposals x widest layer`` candidate floats, cut at half the float
+    budget because each holds the visible update's two blocks in flight
+    while they run; so the candidate arrays stay under the budget whatever
+    the chain count, and the visible update's shared ptilde samples are cut
+    again within a block (see :func:`_visible_log_terms`).  Each block is
+    written into the output arrays, allocated once, so the output is held
+    once.  The draws depend on that split: one generator serves the blocks
+    in turn.
     """
     outs = [np.empty((count, d)) for d in model.layer_sizes]
-    for start, stop in _spans(count, config.proposals_per_step * max(model.layer_sizes)):
+    item_floats = config.proposals_per_step * max(model.layer_sizes)
+    for start, stop in _spans(count, item_floats, _IN_FLIGHT):
         chains = init(stop - start)
         for _ in range(config.num_sweeps):
             _sweep_chains(model, chains, config, rng, mask=mask, observed=observed)

@@ -17,6 +17,7 @@ shrink on weight matrices only (biases are never regularized).
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -29,7 +30,7 @@ from bihm.model import (
     ModelGradient,
     ShapeError,
     _checked_visible,
-    param_views,
+    param_layout,
     weighted_gradient,
     zero_model,
 )
@@ -155,20 +156,41 @@ def adam_update(
         )
     t = state.step_count + 1
     b1, b2 = config.adam_beta1, config.adam_beta2
-    g = gradient.params
-    m = b1 * state.first_moment + (1.0 - b1) * g
-    v = b2 * state.second_moment + (1.0 - b2) * (g * g)
     corr1 = 1.0 - b1**t
     corr2 = 1.0 - b2**t
-    step = config.learning_rate * (m / corr1) / (np.sqrt(v / corr2) + config.adam_eps)
-    theta = model.params + step
-    if not np.all(np.isfinite(theta)):
-        raise TrainingDiverged("non-finite parameters after the Adam step")
-    if config.l1_lambda > 0:
-        shrink = config.learning_rate * config.l1_lambda
-        for name, w in param_views(theta, model.layer_sizes).items():
-            if name.endswith(".weights"):
-                w -= shrink * np.sign(w)
+    lr, eps = config.learning_rate, config.adam_eps
+    shrink = lr * config.l1_lambda
+    m, v, theta = (np.empty_like(model.params) for _ in range(3))
+    # Filled one parameter array at a time, through one scratch array the
+    # size of the largest: the three results are the only full-size arrays.
+    layout = param_layout(model.layer_sizes)
+    scratch = np.empty(max(math.prod(shape) for _, shape in layout))
+    start = 0
+    for name, shape in layout:
+        n = math.prod(shape)
+        at = slice(start, start + n)
+        start += n
+        g, m_t, v_t, theta_t = gradient.params[at], m[at], v[at], theta[at]
+        tmp = scratch[:n]
+        # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g^2
+        np.multiply(state.first_moment[at], b1, out=m_t)
+        m_t += np.multiply(g, 1.0 - b1, out=tmp)
+        np.multiply(g, g, out=tmp)
+        tmp *= 1.0 - b2
+        np.multiply(state.second_moment[at], b2, out=v_t)
+        v_t += tmp
+        # theta = params + lr (m / corr1) / (sqrt(v / corr2) + eps)
+        np.divide(v_t, corr2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += eps
+        np.divide(m_t, corr1, out=theta_t)
+        theta_t *= lr
+        theta_t /= tmp
+        theta_t += model.params[at]
+        if not np.all(np.isfinite(theta_t)):
+            raise TrainingDiverged("non-finite parameters after the Adam step")
+        if config.l1_lambda > 0 and name.endswith(".weights"):
+            theta_t -= np.multiply(np.sign(theta_t, out=tmp), shrink, out=tmp)
     return BihmModel._from_checked(model.layer_sizes, theta), AdamState(m, v, t)
 
 

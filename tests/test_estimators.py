@@ -189,26 +189,19 @@ class TestRowBatchedEstimates:
         for i in range(8):
             assert abs(values_p[i] - exact_log_p(model, xs[i])) <= 4 * ses_p[i]
 
-    def test_row_chunking_is_transparent_for_one_latent_layer(self, monkeypatch):
-        # With a single latent layer each chunk consumes the generator in the
-        # same order as one big call, so tiny chunks reproduce the default.
-        model = random_model([5, 3], np.random.default_rng(41))
-        xs = (np.random.default_rng(42).random((50, 5)) < 0.5).astype(np.float64)
-        v2, s2 = est_log_ptilde_rows(model, xs, 7, np.random.default_rng(9))
-        monkeypatch.setattr(estimators, "_BLOCK_FLOATS", 50)
-        v1, s1 = est_log_ptilde_rows(model, xs, 7, np.random.default_rng(9))
-        assert_array_equal(v1, v2)
-        assert_array_equal(s1, s2)
-
     def test_chunked_values_stay_close_for_deep_models(self, monkeypatch):
-        # Chunk boundaries reorder the stream for multi-layer models; the
+        # Each row block draws from its own spawned stream, so the block
+        # split changes the draws, for one latent layer as for several; the
         # estimates remain statistically equivalent.
-        model = random_model([4, 2, 2], np.random.default_rng(16))
-        xs = (np.random.default_rng(17).random((12, 4)) < 0.5).astype(np.float64)
-        v2, s2 = est_log_ptilde_rows(model, xs, 5000, np.random.default_rng(18))
-        monkeypatch.setattr(estimators, "_BLOCK_FLOATS", 200)
-        v1, s1 = est_log_ptilde_rows(model, xs, 5000, np.random.default_rng(18))
-        assert np.all(np.abs(v1 - v2) <= 4 * np.hypot(s1, s2))
+        default = estimators._BLOCK_FLOATS
+        for sizes, seeds in (([4, 2, 2], (16, 17, 18)), ([5, 3], (41, 42, 9))):
+            model = random_model(sizes, np.random.default_rng(seeds[0]))
+            xs = (np.random.default_rng(seeds[1]).random((12, sizes[0])) < 0.5).astype(np.float64)
+            monkeypatch.setattr(estimators, "_BLOCK_FLOATS", default)
+            v2, s2 = est_log_ptilde_rows(model, xs, 5000, np.random.default_rng(seeds[2]))
+            monkeypatch.setattr(estimators, "_BLOCK_FLOATS", 200)
+            v1, s1 = est_log_ptilde_rows(model, xs, 5000, np.random.default_rng(seeds[2]))
+            assert np.all(np.abs(v1 - v2) <= 4 * np.hypot(s1, s2))
 
     def test_rejects_one_dimensional_input(self):
         model = zero_model([3, 2])

@@ -317,6 +317,22 @@ class TestAdamUpdate:
         for m in state.first_moment:
             assert_array_equal(m, np.zeros_like(m))
 
+    def test_peak_memory_is_the_results_and_one_array(self):
+        # Only m, v and the new parameters are full-size; the rest of the
+        # work goes through one scratch array the size of the largest
+        # parameter array (0.43x the vector for these sizes).
+        model = random_model([784, 200, 100, 50], np.random.default_rng(91))
+        grad = ModelGradient.zeros_for(model)
+        grad.params[...] = np.random.default_rng(92).normal(size=grad.params.shape)
+        state = AdamState.zeros_for(model)
+        tracemalloc.start()
+        try:
+            adam_update(model, state, grad, TrainConfig(learning_rate=0.01, l1_lambda=0.01))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * model.params.nbytes
+
     def test_divergent_step_raises(self):
         model = random_model([3, 2], np.random.default_rng(87))
         grad = self.constant_gradient(model, np.random.default_rng(88))
