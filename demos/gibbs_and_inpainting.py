@@ -21,7 +21,7 @@ model = random_model([3, 2], np.random.default_rng(61))
 # Exact visible marginal of pstar by enumeration.
 exact = np.exp(exact_log_ptilde_by_x(model) - exact_log_z2(model))
 
-config = GibbsConfig(num_sweeps=10, proposals_per_step=10, ptilde_k=10)
+config = GibbsConfig(num_sweeps=10, proposals_per_step=10)
 chains = gibbs_sample_chains(model, 20_000, config, rng)
 codes = (chains[0] @ (2.0 ** np.arange(2, -1, -1))).astype(int)
 empirical = np.bincount(codes, minlength=8) / codes.shape[0]
@@ -39,7 +39,7 @@ print(f"  total variation distance {tv:.4f}")
 x_corrupt = np.array([1.0, 0.0, 0.0])
 mask = np.array([1.0, 0.0, 0.0])
 completions = inpaint_chains(
-    model, x_corrupt, mask, 20_000, GibbsConfig(num_sweeps=5, proposals_per_step=20, ptilde_k=20), rng
+    model, x_corrupt, mask, 20_000, GibbsConfig(num_sweeps=5, proposals_per_step=20), rng
 )
 assert np.all(completions[:, 0] == 1.0), "observed pixels must never change"
 

@@ -212,11 +212,7 @@ def _cmd_sample(args) -> int:
     width, height = _geometry(model.visible_dim, args.width, args.height)
     rng = np.random.default_rng(args.seed)
     if args.gibbs > 0:
-        config = GibbsConfig(
-            num_sweeps=args.gibbs,
-            proposals_per_step=args.prop_k,
-            ptilde_k=args.prop_k,
-        )
+        config = GibbsConfig(num_sweeps=args.gibbs, proposals_per_step=args.prop_k)
         chains = gibbs_sample_chains(model, args.count, config, rng)
         x, h1 = chains[0], chains[1]
     else:
@@ -312,7 +308,7 @@ def _check_grad(model, k, rng) -> list:
 def _check_gibbs(model, table, lz2, rng) -> list:
     pstar = np.exp(table - lz2)
     count = 20000
-    config = GibbsConfig(num_sweeps=5, proposals_per_step=10, ptilde_k=10)
+    config = GibbsConfig(num_sweeps=5, proposals_per_step=10)
     chains = gibbs_sample_chains(model, count, config, rng)
     codes = chains[0].astype(np.int64) @ (1 << np.arange(model.visible_dim - 1, -1, -1))
     emp = np.bincount(codes, minlength=pstar.shape[0]) / count

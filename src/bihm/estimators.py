@@ -24,9 +24,10 @@ has expectation exactly ``Z^2``.
 
 Rows (and outer samples) are independent, so they are scored in blocks that
 run two at a time: on the calling thread and, when the process may use two
-CPUs, on one worker thread.  Each block draws from its own generator, spawned
-from the caller's before any block runs, and the float budget covers both
-blocks in flight; a fixed seed and budget give the same output on any machine.
+CPUs and BLAS is pinned to one thread, on one worker thread.  Each block
+draws from its own generator, spawned from the caller's before any block
+runs, and the float budget covers both blocks in flight; a fixed seed and
+budget give the same output on any machine.
 """
 
 from __future__ import annotations
@@ -74,9 +75,14 @@ _BLOCK_FLOATS = 2**18
 # thread, one on a worker thread.
 _IN_FLIGHT = 2
 
-# CPUs this process may run on, read at import; with one, every block runs on
-# the calling thread.
+# CPUs the blocks may use, read at import: those this process may run on
+# when BLAS is pinned to one thread (``OPENBLAS_NUM_THREADS`` is 1, or it is
+# unset and ``OMP_NUM_THREADS`` is 1), and otherwise one, because two threads
+# that each start BLAS threads of their own oversubscribe the CPUs.  With
+# one, every block runs on the calling thread.
 _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+if os.environ.get("OPENBLAS_NUM_THREADS", os.environ.get("OMP_NUM_THREADS")) != "1":
+    _CPUS = 1
 
 
 def _spans(n: int, item_floats: int, in_flight: int = 1) -> list:
@@ -167,18 +173,11 @@ class WeightedSampleSet:
     """K latent samples for one visible vector, with importance weights.
 
     ``layer_arrays`` holds the samples as one ``(K, d_l)`` array per latent
-    layer, bottom-up.  ``log_w`` holds the unnormalized log-weights;
-    ``log_w_normalized`` the log of the softmax-normalized weights, which
-    exponentiate to a vector summing to 1.
+    layer, bottom-up, and ``log_w`` their unnormalized log-weights.
     """
 
     layer_arrays: tuple
     log_w: np.ndarray
-    log_w_normalized: np.ndarray
-
-    @property
-    def num_samples(self) -> int:
-        return self.log_w.shape[0]
 
 
 def log_weights(model: BihmModel, x, k: int = 1, rng=None, keep_means=False):
@@ -202,7 +201,7 @@ def draw_weighted_samples(model: BihmModel, x, k: int, rng: np.random.Generator)
     if k < 1:
         raise ValueError("k must be positive")
     log_w, _, q = log_weights(model, _checked_visible(model, x, 1, "x", binary=True), k=k, rng=rng)
-    return WeightedSampleSet(tuple(q.layers), log_w, log_w - _logsumexp(log_w))
+    return WeightedSampleSet(tuple(q.layers), log_w)
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,8 @@ grows.  Additive shifts of the log-weights cancel in the resampling.
 The visible conditional follows from the joint: the x-dependent factors are
 ``sqrt(ptilde(x)) * sqrt(p(x|h_1) q(h_1|x))``, so with proposals drawn from
 ``p(x|h_1)`` the weight is ``sqrt(ptilde(x) q(h_1|x) / p(x|h_1))``.
-``ptilde(x)`` is itself estimated, from ``S = 4 * ptilde_k`` latent samples
-that all of a chain's P candidates share: they are drawn from the mixture
+``ptilde(x)`` is itself estimated, from ``S = 4 * P`` latent samples that
+all of a chain's P candidates share: they are drawn from the mixture
 ``r(h) = (1/P) sum_j q(h | x_j)`` of the candidates' recognition
 distributions, and each candidate weighs them by
 ``sqrt(p(x_j, h) q(h | x_j)) / r(h)``.  The estimate makes the visible update
@@ -63,27 +63,25 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GibbsConfig:
-    """Chain parameters. The proposal counts trade cost against accuracy.
+    """Chain parameters. The proposal count trades cost against accuracy.
 
-    ``ptilde_k`` sets the visible update's ptilde estimate: each chain draws
-    ``4 * ptilde_k`` latent samples that all its candidates share.
+    It also sets the visible update's ptilde estimate: each chain draws
+    ``4 * proposals_per_step`` latent samples that all its candidates share.
     """
 
     num_sweeps: int = 10
     proposals_per_step: int = 25
-    ptilde_k: int = 25
 
     def __post_init__(self):
-        if self.num_sweeps < 1 or self.proposals_per_step < 1 or self.ptilde_k < 1:
+        if self.num_sweeps < 1 or self.proposals_per_step < 1:
             raise ValueError("all Gibbs counts must be positive")
 
 
-# Shared samples per chain in the visible update's ptilde estimate, per unit
-# of ``GibbsConfig.ptilde_k``.  Chosen by the TV of ``bihm oracle --dims
-# 8,5,4 --checks gibbs`` over seeds 0-9 (tolerance 0.05): up to 0.061 at 1x,
-# 0.050 at 2x, and 0.030-0.043 at 4x, where the per-candidate estimate
-# reached 0.034-0.042.
-_SHARED_PER_PTILDE_K = 4
+# Shared samples per chain in the visible update's ptilde estimate, per
+# proposal.  Chosen by the TV of ``bihm oracle --dims 8,5,4 --checks gibbs``
+# over seeds 0-9 (tolerance 0.05): up to 0.061 at 1x, 0.050 at 2x, and
+# 0.030-0.043 at 4x, where the per-candidate estimate reached 0.034-0.042.
+_SHARED_PER_PROPOSAL = 4
 
 # The logit of 1 - SIGMOID_EPS: clipping an activation to +-this clamps its
 # mean as bernoulli_step clamps it.
@@ -203,8 +201,7 @@ def _update_chains(model, chains, l, config, rng, mask=None, observed=None) -> N
 
     lp_self = bernoulli_step(mu_p[..., None, :], cand)[1]
     if l == 0:
-        s = _SHARED_PER_PTILDE_K * config.ptilde_k
-        lq_above, lpt = _visible_log_terms(model, cand, chains[1], s, rng)
+        lq_above, lpt = _visible_log_terms(model, cand, chains[1], _SHARED_PER_PROPOSAL * p, rng)
         log_w = 0.5 * (lpt + lq_above - lp_self)
     else:
         lq_self = bernoulli_step(mu_q[:, None, :], cand)[1]

@@ -46,6 +46,13 @@ __all__ = [
 ]
 
 
+# Adam's decay rates and denominator offset: the published defaults of
+# Kingma & Ba (2015).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 class TrainingDiverged(RuntimeError):
     """Parameters left the finite range during training."""
 
@@ -64,9 +71,6 @@ class TrainConfig:
     learning_rate: float = 1e-3
     batch_size: int = 100
     l1_lambda: float = 1e-3
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     epochs: int = 10
     seed: int = 0
 
@@ -75,10 +79,6 @@ class TrainConfig:
             raise ValueError("k_train, batch_size and epochs must be positive")
         if self.learning_rate < 0 or self.l1_lambda < 0:
             raise ValueError("learning_rate and l1_lambda must be nonnegative")
-        if not (0 < self.adam_beta1 < 1 and 0 < self.adam_beta2 < 1):
-            raise ValueError("adam betas must lie in (0, 1)")
-        if self.adam_eps <= 0:
-            raise ValueError("adam_eps must be positive")
 
 
 @dataclass
@@ -144,6 +144,8 @@ def adam_update(
 ):
     """One bias-corrected Adam ascent step, then L1 shrink on weights only.
 
+    The step uses ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS``.
+
     The L1 term is a post-step subgradient move ``w -= lr * lambda * sign(w)``
     so the Adam moments track the likelihood gradient alone.  Returns
     ``(new_model, new_state)``; inputs are untouched.  Raises
@@ -155,10 +157,10 @@ def adam_update(
             f"the model's {model.layer_sizes}"
         )
     t = state.step_count + 1
-    b1, b2 = config.adam_beta1, config.adam_beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     corr1 = 1.0 - b1**t
     corr2 = 1.0 - b2**t
-    lr, eps = config.learning_rate, config.adam_eps
+    lr, eps = config.learning_rate, ADAM_EPS
     shrink = lr * config.l1_lambda
     m, v, theta = (np.empty_like(model.params) for _ in range(3))
     # Filled one parameter array at a time, through one scratch array the

@@ -226,7 +226,7 @@ def test_criterion_05_ess_properties():
 def test_criterion_06_gibbs_stationarity_and_clamping():
     model = random_model([3, 2], np.random.default_rng(61))
     exact = np.exp(exact_log_ptilde_by_x(model) - exact_log_z2(model))
-    config = GibbsConfig(num_sweeps=10, proposals_per_step=10, ptilde_k=10)
+    config = GibbsConfig(num_sweeps=10, proposals_per_step=10)
     chains = gibbs_sample_chains(model, 100_000, config, np.random.default_rng(62))
     codes = chains[0] @ (2.0 ** np.arange(2, -1, -1))
     counts = np.bincount(codes.astype(int), minlength=8)

@@ -5,6 +5,8 @@ instead of hanging the suite.  The worker thread is turned off by setting
 ``estimators._CPUS`` to 1, and forced on (whatever the machine) with 2.
 """
 
+import os
+import subprocess
 import sys
 import threading
 import time
@@ -40,7 +42,7 @@ def bounded(call, seconds=60.0):
 
 MODEL = random_model([6, 4, 3], np.random.default_rng(140), weight_scale=1.5)
 XS = (np.random.default_rng(141).random((40, 6)) < 0.5).astype(np.float64)
-GIBBS = GibbsConfig(num_sweeps=2, proposals_per_step=5, ptilde_k=3)
+GIBBS = GibbsConfig(num_sweeps=2, proposals_per_step=5)
 MASK = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
 
 
@@ -101,6 +103,7 @@ def test_both_threads_take_blocks(monkeypatch):
     # Blocks 0 and 1 wait for each other, so they can only finish if two
     # threads run them at once.
     monkeypatch.setattr(estimators, "_CPUS", 2)
+    baseline = threading.active_count()
     both = threading.Barrier(2, timeout=10)
     threads = []
 
@@ -112,6 +115,28 @@ def test_both_threads_take_blocks(monkeypatch):
     bounded(lambda: estimators._each_block(6, run))
     assert len(threads) == 6
     assert len(set(threads)) == 2
+    assert threading.active_count() == baseline
+
+
+@pytest.mark.parametrize(
+    "blas_env, pinned",
+    [
+        ({}, False),
+        ({"OPENBLAS_NUM_THREADS": "1"}, True),
+        ({"OMP_NUM_THREADS": "1"}, True),
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, False),
+    ],
+)
+def test_worker_runs_only_when_blas_is_pinned(blas_env, pinned):
+    # Read at import, so each case imports the package in a fresh process.
+    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env.update(blas_env, PYTHONPATH=os.path.dirname(os.path.dirname(estimators.__file__)))
+    code = "from bihm import estimators; print(estimators._CPUS)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60
+    )
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert int(out.stdout) == (cpus if pinned else 1)
 
 
 def test_one_cpu_runs_every_block_on_the_calling_thread(monkeypatch):

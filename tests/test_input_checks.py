@@ -34,7 +34,7 @@ from bihm.training import TrainConfig, minibatch_gradient, train
 
 MODEL = random_model((3, 2, 2), np.random.default_rng(0))
 LATENTS = [np.zeros(2), np.ones(2)]
-GIBBS = GibbsConfig(num_sweeps=1, proposals_per_step=2, ptilde_k=2)
+GIBBS = GibbsConfig(num_sweeps=1, proposals_per_step=2)
 
 
 def rng():

@@ -36,10 +36,10 @@ def joint_codes(chains):
     return (bits @ weights).astype(np.int64)
 
 
-def empirical_conditional(model, clamps, l, n, proposals, rng, ptilde_k=1, block=2000):
+def empirical_conditional(model, clamps, l, n, proposals, rng, block=2000):
     """Frequencies of layer ``l`` (0 = the visibles) after one resampling step, neighbors fixed."""
     d = model.layer_sizes[l]
-    config = GibbsConfig(num_sweeps=1, proposals_per_step=proposals, ptilde_k=ptilde_k)
+    config = GibbsConfig(num_sweeps=1, proposals_per_step=proposals)
     counts = np.zeros(1 << d)
     code_w = 2.0 ** np.arange(d - 1, -1, -1)
     for start in range(0, n, block):
@@ -56,11 +56,10 @@ def empirical_conditional(model, clamps, l, n, proposals, rng, ptilde_k=1, block
 class TestConfigAndState:
     def test_config_defaults_and_validation(self):
         config = GibbsConfig()
-        assert (config.num_sweeps, config.proposals_per_step, config.ptilde_k) == (10, 25, 25)
+        assert (config.num_sweeps, config.proposals_per_step) == (10, 25)
         for bad in (
             dict(num_sweeps=0),
             dict(proposals_per_step=0),
-            dict(ptilde_k=0),
         ):
             with pytest.raises(ValueError):
                 GibbsConfig(**bad)
@@ -85,7 +84,7 @@ class TestResampling:
 
     def test_single_proposal_update_is_deterministic_given_rng(self):
         model = random_model([3, 2], np.random.default_rng(114))
-        config = GibbsConfig(num_sweeps=1, proposals_per_step=1, ptilde_k=1)
+        config = GibbsConfig(num_sweeps=1, proposals_per_step=1)
 
         def update():
             chains = [np.array([[1.0, 0.0, 1.0]]), np.zeros((1, 2))]
@@ -103,7 +102,7 @@ class TestUniformModel:
 
     def test_chain_joint_is_uniform(self):
         model = zero_model([3, 2])
-        config = GibbsConfig(num_sweeps=2, proposals_per_step=5, ptilde_k=3)
+        config = GibbsConfig(num_sweeps=2, proposals_per_step=5)
         chains = gibbs_sample_chains(model, 4000, config, np.random.default_rng(120))
         counts = np.bincount(joint_codes(chains), minlength=32)
         expected = 4000 / 32
@@ -168,8 +167,7 @@ class TestHiddenConditionalAccuracy:
         exact = exact_conditional_pstar(model, [None, h1, h2])
         n = 20_000
         emp = empirical_conditional(
-            model, [None, h1, h2], l=0, n=n, proposals=30, rng=np.random.default_rng(103),
-            ptilde_k=30,
+            model, [None, h1, h2], l=0, n=n, proposals=30, rng=np.random.default_rng(103)
         )
         se = np.sqrt(exact * (1.0 - exact) / n)
         assert np.all(np.abs(emp - exact) <= 4.0 * se + 1.0 / n)
@@ -180,14 +178,14 @@ class TestChainStationarity:
     def test_joint_distribution_matches_combined_model(self):
         model = random_model([3, 2], np.random.default_rng(103))
         exact = exact_conditional_pstar(model, None)
-        config = GibbsConfig(num_sweeps=5, proposals_per_step=10, ptilde_k=10)
+        config = GibbsConfig(num_sweeps=5, proposals_per_step=10)
         chains = gibbs_sample_chains(model, 20_000, config, np.random.default_rng(104))
         emp = np.bincount(joint_codes(chains), minlength=32) / 20_000
         assert 0.5 * np.abs(emp - exact).sum() <= 0.05
 
     def test_shapes_and_binary_output(self):
         model = zero_model([4, 3, 2])
-        config = GibbsConfig(num_sweeps=1, proposals_per_step=3, ptilde_k=2)
+        config = GibbsConfig(num_sweeps=1, proposals_per_step=3)
         chains = gibbs_sample_chains(model, 7, config, np.random.default_rng(122))
         assert [a.shape for a in chains] == [(7, 4), (7, 3), (7, 2)]
         for a in chains:
@@ -195,7 +193,7 @@ class TestChainStationarity:
 
     def test_deterministic_given_seed(self):
         model = random_model([3, 2], np.random.default_rng(123))
-        config = GibbsConfig(num_sweeps=2, proposals_per_step=4, ptilde_k=3)
+        config = GibbsConfig(num_sweeps=2, proposals_per_step=4)
         a = gibbs_sample_chains(model, 11, config, np.random.default_rng(124))
         b = gibbs_sample_chains(model, 11, config, np.random.default_rng(124))
         for x, y in zip(a, b):
@@ -206,12 +204,12 @@ class TestChainStationarity:
     @pytest.mark.parametrize(
         "sizes, config",
         [
-            ([20, 10, 5], GibbsConfig(1, 5, 5)),
-            # proposals = ptilde_k = 10 on narrow layers: the visible
-            # update's (chains, proposals, shared samples) cross terms
-            # dominate a block's work, so this case fails unless the shared
-            # ptilde estimate cuts its chains into blocks of its own.
-            ([8, 5, 4], GibbsConfig(1, 10, 10)),
+            ([20, 10, 5], GibbsConfig(1, 5)),
+            # 10 proposals on narrow layers: the visible update's (chains,
+            # proposals, shared samples) cross terms dominate a block's
+            # work, so this case fails unless the shared ptilde estimate
+            # cuts its chains into blocks of its own.
+            ([8, 5, 4], GibbsConfig(1, 10)),
         ],
     )
     def test_peak_memory_holds_the_output_once(self, monkeypatch, sizes, config):
@@ -271,7 +269,7 @@ class TestInpainting:
     def test_fully_observed_mask_returns_input(self):
         model = random_model([4, 3], np.random.default_rng(130))
         x = np.array([1.0, 0.0, 1.0, 1.0])
-        config = GibbsConfig(num_sweeps=3, proposals_per_step=5, ptilde_k=4)
+        config = GibbsConfig(num_sweeps=3, proposals_per_step=5)
         out = inpaint_chains(model, x, np.ones(4), 1, config, np.random.default_rng(131))[0]
         assert_array_equal(out, x)
 
@@ -279,7 +277,7 @@ class TestInpainting:
         model = random_model([4, 3], np.random.default_rng(132))
         x = np.array([1.0, 1.0, 0.0, 0.0])
         mask = np.array([1.0, 0.0, 0.0, 1.0])
-        config = GibbsConfig(num_sweeps=4, proposals_per_step=6, ptilde_k=5)
+        config = GibbsConfig(num_sweeps=4, proposals_per_step=6)
         out = inpaint_chains(model, x, mask, 100, config, np.random.default_rng(133))
         assert out.shape == (100, 4)
         assert np.all(out[:, 0] == 1.0)
@@ -290,14 +288,14 @@ class TestInpainting:
         model = random_model([4, 3], np.random.default_rng(134))
         x = np.array([1.0, 1.0, 0.0, 0.0])
         mask = np.array([0.0, 1.0, 1.0, 0.0])
-        config = GibbsConfig(num_sweeps=2, proposals_per_step=3, ptilde_k=3)
+        config = GibbsConfig(num_sweeps=2, proposals_per_step=3)
         inpaint_chains(model, x, mask, 20, config, np.random.default_rng(135))
         assert_array_equal(x, [1.0, 1.0, 0.0, 0.0])
         assert_array_equal(mask, [0.0, 1.0, 1.0, 0.0])
 
     def test_all_free_mask_allowed(self):
         model = random_model([3, 2], np.random.default_rng(136))
-        config = GibbsConfig(num_sweeps=2, proposals_per_step=4, ptilde_k=3)
+        config = GibbsConfig(num_sweeps=2, proposals_per_step=4)
         rng = np.random.default_rng(137)
         out = inpaint_chains(model, np.zeros(3), np.zeros(3), 1, config, rng)[0]
         assert out.shape == (3,)
@@ -310,7 +308,7 @@ class TestInpainting:
         model = BihmModel((4, 2), FactorizedPrior(np.array([3.0, 3.0])), (p1,), (q1,))
         x = np.array([1.0, 1.0, 0.0, 0.0])
         mask = np.array([1.0, 1.0, 0.0, 0.0])
-        config = GibbsConfig(num_sweeps=5, proposals_per_step=20, ptilde_k=10)
+        config = GibbsConfig(num_sweeps=5, proposals_per_step=20)
         out = inpaint_chains(model, x, mask, 200, config, np.random.default_rng(138))
         completed = np.all(out == 1.0, axis=1).mean()
         assert completed >= 0.95
@@ -322,7 +320,7 @@ class TestInpainting:
         # conditional over (x2, x3, h); marginalize the latents
         cond = exact_conditional_pstar(model, [np.array([1, -1, -1]), None])
         cond_x = cond.reshape(4, 4).sum(axis=1)
-        config = GibbsConfig(num_sweeps=5, proposals_per_step=60, ptilde_k=30)
+        config = GibbsConfig(num_sweeps=5, proposals_per_step=60)
         out = inpaint_chains(model, x_corrupt, mask, 4000, config, np.random.default_rng(139))
         codes = (out[:, 1:] @ np.array([2.0, 1.0])).astype(np.int64)
         emp = np.bincount(codes, minlength=4) / 4000
@@ -330,7 +328,7 @@ class TestInpainting:
 
     def test_validation(self):
         model = zero_model([3, 2])
-        config = GibbsConfig(num_sweeps=1, proposals_per_step=2, ptilde_k=2)
+        config = GibbsConfig(num_sweeps=1, proposals_per_step=2)
 
         def one(x, mask):
             return inpaint_chains(model, x, mask, 1, config, np.random.default_rng(0))[0]
