@@ -365,7 +365,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="model.bihm", help="checkpoint output path")
     p.add_argument("--metrics", help="append per-epoch metrics CSV here")
-    p.add_argument("--finetune-k", type=int, default=0, help="phase-2 sample count")
+    p.add_argument("--finetune-k", type=int, default=0, help="phase-2 sample count (0 = same as --k)")
     p.add_argument("--finetune-lr", type=float, default=None, help="phase-2 learning rate")
     p.add_argument("--finetune-epochs", type=int, default=0, help="phase-2 epochs (0 = off)")
     p.set_defaults(func=_cmd_train)

@@ -64,15 +64,17 @@ __all__ = [
 # the oracle's enumeration blocks, the Gibbs chain blocks and, within them, the
 # visible update's shared ptilde samples (chains x samples x (visible + latent
 # bits + proposals)).  Each loop cuts its work with :func:`_spans`; the loops
-# whose blocks run ``_IN_FLIGHT`` at a time (the estimators' row blocks and
-# the Gibbs chain blocks that hold them) cut at that share of the budget, so
-# it covers both blocks in flight.  A block's real peak is about 5.5-6x its
-# share, not 1x: the two passes keep their means, their score buffers and the
-# drawn layers alive at once, and the gradient adds its deltas.
+# whose blocks run ``_IN_FLIGHT`` at a time (the estimators' row blocks, the
+# Gibbs chain blocks that hold them, and the gradient's row blocks, which run
+# in two lanes when two rows fit the budget together) cut at that share of
+# the budget, so it covers both blocks in flight.  A block's real peak is
+# about 5.5-6x its share, not 1x: the two passes keep their means, their
+# score buffers and the drawn layers alive at once, and the gradient adds
+# its deltas.
 _BLOCK_FLOATS = 2**18
 
-# Blocks of :func:`_blocked_rows` that run at once: one on the calling
-# thread, one on a worker thread.
+# Blocks of :func:`_blocked_rows` (and lanes of the gradient's row blocks)
+# that run at once: one on the calling thread, one on a worker thread.
 _IN_FLIGHT = 2
 
 # CPUs the blocks may use, read at import: those this process may run on

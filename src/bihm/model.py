@@ -23,8 +23,10 @@ a one-row batch, ``x[None]``.  :func:`layer_log_prob` and
 :func:`layer_sample` run the step for a single layer.
 
 A layer's activation is one 2-D BLAS matrix product over all leading axes
-of its input, and :func:`sigmoid` is built from numpy's vectorized ``exp``,
-in place on the fresh logits.
+of its input, and so is each weight gradient of :func:`weighted_gradient`,
+over all rows and samples of the weighted deltas and the inputs;
+:func:`sigmoid` is built from numpy's vectorized ``exp``, in place on the
+fresh logits.
 
 Array arguments may carry leading batch axes: log-probability functions reduce
 over the last axis only, so ``layer_log_prob(layer, V, T)`` with ``V`` of shape
@@ -449,24 +451,32 @@ def weighted_gradient(
     :class:`Pass` means of the two passes that scored them, so no activation
     is recomputed.  Each layer sees only its own (input, target) pair; its
     weighted gradient is added straight into the flat vector ``grad.params``.
+
+    Each layer's weighted delta ``(targets - mean) * weights`` is formed
+    once, and its weight gradient is one 2-D BLAS product of the deltas and
+    the inputs over all rows and samples.  An input that does not vary along
+    the sample axis (``x`` of shape ``(b, 1, visible_dim)`` or
+    ``(visible_dim,)``) meets the deltas summed over that axis first.
     """
     out = param_views(grad.params, model.layer_sizes)
     L = model.num_latent_layers
-    x = np.broadcast_to(x, np.shape(weights) + (model.visible_dim,))
-    out["prior.biases"] += np.einsum(
-        "bk,bkd->d", weights, layers[L - 1] - p_means[L], optimize=True
-    )
+    w = weights[..., None]
+    k = w.shape[1]
+    top = (layers[L - 1] - p_means[L]) * w
+    out["prior.biases"] += top.reshape(-1, top.shape[-1]).sum(axis=0)
     for i in range(L):
         below = x if i == 0 else layers[i - 1]
         for name, inputs, targets, mean in (
             (f"p{i + 1}", layers[i], below, p_means[i]),
             (f"q{i + 1}", below, layers[i], q_means[i]),
         ):
-            delta = targets - mean
-            out[name + ".weights"] += np.einsum(
-                "bk,bko,bki->oi", weights, delta, inputs, optimize=True
-            )
-            out[name + ".biases"] += np.einsum("bk,bko->o", weights, delta, optimize=True)
+            wd = (targets - mean) * w
+            if np.shape(inputs)[-2:-1] != (k,):
+                wd = wd.sum(axis=1, keepdims=True)
+            inputs = np.broadcast_to(inputs, wd.shape[:-1] + inputs.shape[-1:])
+            wd = wd.reshape(-1, wd.shape[-1])
+            out[name + ".weights"] += wd.T @ inputs.reshape(-1, inputs.shape[-1])
+            out[name + ".biases"] += wd.sum(axis=0)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from bihm.estimators import ZEstimateConfig, _spans, est_log_z2, estimate_rows, log_weights
+from bihm import estimators
+from bihm.estimators import _IN_FLIGHT, _each_block, _spans
+from bihm.estimators import ZEstimateConfig, est_log_z2, estimate_rows, log_weights
 from bihm.model import (
     BihmModel,
     ModelGradient,
@@ -121,22 +123,40 @@ def minibatch_gradient(
     Per datapoint: draw ``h_1..h_K ~ q(. | x)``, softmax-normalize the
     log-weights ``(log p - log q) / 2``, and accumulate the weighted layer
     gradients of ``log p(x,h) + log q(h|x)``.  Batch axis is averaged.
-    Rows are drawn and weighed in the estimators' row blocks, so memory
-    follows their float budget (or one row of ``k`` samples, if larger),
-    not the batch size.
+
+    Rows are drawn and weighed in blocks cut at ``_IN_FLIGHT`` shares of the
+    estimators' float budget (one row of ``k`` samples at least), so memory
+    follows that budget, not the batch size.  Block ``i`` draws only from
+    child ``i`` of ``rng.spawn(blocks)``.  When two rows' samples fit the
+    budget together, the blocks run in two lanes through
+    :func:`bihm.estimators._each_block`: lane ``j`` adds blocks ``j, j + 2,
+    ...`` in order into its own gradient, and the result is lane 0 plus
+    lane 1.  Otherwise one lane takes every block, so a row bigger than
+    half the budget is held alone.  Either way the result depends on the
+    seed and the budget, never on the threads or their timing.
     """
     if k < 1:
         raise ValueError("k must be positive")
     x = _checked_visible(model, batch, 2, "batch", binary=True)
-    grad = ModelGradient.zeros_for(model)
-    for start, stop in _spans(x.shape[0], k * sum(model.layer_sizes)):
-        rows = x[start:stop]
-        lw, p, q = log_weights(model, rows, k=k, rng=rng, keep_means=True)
-        w = np.exp(lw - lw.max(axis=1, keepdims=True))
-        w /= w.sum(axis=1, keepdims=True)
-        w /= x.shape[0]
-        weighted_gradient(model, grad, w, rows[:, None, :], q.layers, p.means, q.means)
-    return grad
+    sample_floats = k * sum(model.layer_sizes)
+    blocks = _spans(x.shape[0], sample_floats, _IN_FLIGHT)
+    streams = rng.spawn(len(blocks))
+    lanes = _IN_FLIGHT if _IN_FLIGHT * sample_floats <= estimators._BLOCK_FLOATS else 1
+    grads = [ModelGradient.zeros_for(model) for _ in range(min(lanes, len(blocks)))]
+
+    def lane(j):
+        for i in range(j, len(blocks), len(grads)):
+            rows = x[slice(*blocks[i])]
+            lw, p, q = log_weights(model, rows, k=k, rng=streams[i], keep_means=True)
+            w = np.exp(lw - lw.max(axis=1, keepdims=True))
+            w /= w.sum(axis=1, keepdims=True)
+            w /= x.shape[0]
+            weighted_gradient(model, grads[j], w, rows[:, None, :], q.layers, p.means, q.means)
+
+    _each_block(len(grads), lane)
+    for other in grads[1:]:
+        grads[0].params += other.params
+    return grads[0]
 
 
 def adam_update(

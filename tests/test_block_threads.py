@@ -1,4 +1,5 @@
-"""The estimators' block loop: two blocks in flight, each on its own spawned stream.
+"""The block loop of the estimators and of the gradient's lanes: two blocks in
+flight, each on its own spawned stream.
 
 Every test runs its work under :func:`bounded`, so a deadlock fails the test
 instead of hanging the suite.  The worker thread is turned off by setting
@@ -19,6 +20,7 @@ from bihm import estimators
 from bihm.estimators import ZEstimateConfig, est_log_z2, estimate_rows
 from bihm.model import random_model
 from bihm.sampling import GibbsConfig, gibbs_sample_chains, inpaint_chains
+from bihm.training import minibatch_gradient
 
 
 def bounded(call, seconds=60.0):
@@ -54,13 +56,16 @@ def log_z2():
 # Each returns a list of arrays.  With the budgets below every call cuts its
 # work into several blocks: 13 floats per sample, so 3 rows of 20 samples to
 # a 1000-float share; rows of 500 samples in tiles of 76; 38 outer samples to
-# a block; and Gibbs chains whose visible updates each run several blocks.
+# a block; Gibbs chains whose visible updates each run several blocks; and
+# gradient rows of 10 samples, 130 floats, whose two lanes take 6 blocks of
+# up to 7 rows at 2000 floats and 40 one-row blocks at 300.
 CALLS = {
     "rows": lambda: list(estimate_rows(MODEL, XS, 20, np.random.default_rng(142))),
     "tiled rows": lambda: list(estimate_rows(MODEL, XS[:5], 500, np.random.default_rng(143), squared=True)),
     "log Z2": log_z2,
     "gibbs": lambda: gibbs_sample_chains(MODEL, 30, GIBBS, np.random.default_rng(145)),
     "inpaint": lambda: [inpaint_chains(MODEL, XS[0], MASK, 30, GIBBS, np.random.default_rng(146))],
+    "gradient": lambda: [minibatch_gradient(MODEL, XS, 10, np.random.default_rng(147)).params],
 }
 
 
@@ -87,7 +92,7 @@ def test_worker_on_and_off_give_identical_results(monkeypatch, name):
 def test_identical_under_constant_thread_switching(monkeypatch):
     # A one-microsecond switch interval interleaves the two threads as finely
     # as the interpreter allows; tiny blocks make many of them.
-    calls = [CALLS["rows"], CALLS["log Z2"], CALLS["gibbs"]]
+    calls = [CALLS["rows"], CALLS["log Z2"], CALLS["gibbs"], CALLS["gradient"]]
     alone = [run_with(monkeypatch, 1, 300, call) for call in calls]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

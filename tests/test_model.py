@@ -36,7 +36,7 @@ from bihm.model import (
     zero_model,
 )
 from bihm.estimators import est_log_ptilde_rows
-from bihm.oracle import bit_matrix
+from bihm.oracle import _blocks, bit_matrix
 from bihm.training import minibatch_gradient
 
 
@@ -454,6 +454,45 @@ class TestOneActivationPerLayer:
         assert calls[0] == 4
 
 
+def reference_weighted_gradient(model, grad, weights, x, layers, p_means, q_means):
+    """``weighted_gradient`` as three-operand einsums over every row and sample.
+
+    The input of each layer is broadcast to ``(b, k, in_dim)`` and contracted
+    with the weights and the deltas in one einsum, with no sum over the
+    samples first.
+    """
+    out = param_views(grad.params, model.layer_sizes)
+    L = model.num_latent_layers
+    x = np.broadcast_to(x, np.shape(weights) + (model.visible_dim,))
+    out["prior.biases"] += np.einsum("bk,bkd->d", weights, layers[L - 1] - p_means[L], optimize=True)
+    for i in range(L):
+        below = x if i == 0 else layers[i - 1]
+        for name, inputs, targets, mean in (
+            (f"p{i + 1}", layers[i], below, p_means[i]),
+            (f"q{i + 1}", below, layers[i], q_means[i]),
+        ):
+            delta = targets - mean
+            out[name + ".weights"] += np.einsum("bk,bko,bki->oi", weights, delta, inputs, optimize=True)
+            out[name + ".biases"] += np.einsum("bk,bko->o", weights, delta, optimize=True)
+
+
+def sampled_gradient_args(model, b, k, rng):
+    """Arguments as ``minibatch_gradient`` passes them: visibles ``(b, 1, d)``, layers ``(b, k, d_l)``."""
+    x = (rng.random((b, model.visible_dim)) < 0.5).astype(np.float64)
+    q = q_pass(model, x, k=k, rng=rng, keep_means=True)
+    p = p_pass(model, x[:, None, :], q.layers, keep_means=True)
+    return x[:, None, :], q.layers, p.means, q.means
+
+
+def enumerated_gradient_args(model, rng):
+    """Arguments as the oracle passes them: 1-D visibles, layers ``(1, C, d_l)`` of every configuration."""
+    x = (rng.random(model.visible_dim) < 0.5).astype(np.float64)
+    layers = next(_blocks(model, 1))[2]
+    p = p_pass(model, x, layers, keep_means=True)
+    q = q_pass(model, x, layers, keep_means=True)
+    return x, layers, p.means, q.means
+
+
 class TestLayerGrad:
     def test_half_mean_example(self):
         layer = BeliefLayer(np.zeros((2, 3)), np.zeros(2))
@@ -508,6 +547,28 @@ class TestLayerGrad:
         grad = ModelGradient(model.layer_sizes, np.ones_like(model.params))
         weighted_gradient(model, grad, np.ones((1, 1)), x, h, p.means, q.means)
         assert_array_equal(grad.params, 1.0 + fresh.params)
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            lambda model, rng: sampled_gradient_args(model, 4, 6, rng),
+            enumerated_gradient_args,
+            lambda model, rng: sampled_gradient_args(model, 5, 1, rng),
+        ],
+        ids=["visibles (b, 1, d)", "oracle 1-D visibles", "k = 1"],
+    )
+    def test_gemm_form_matches_einsum_reference(self, case):
+        # The sums run in another order, so the two agree to rounding, set
+        # relative to the largest entry.
+        rng = np.random.default_rng(23)
+        model = random_model([6, 4, 3], rng, weight_scale=1.5)
+        x, layers, p_means, q_means = case(model, rng)
+        weights = rng.random(layers[0].shape[:2])
+        grad = ModelGradient.zeros_for(model)
+        weighted_gradient(model, grad, weights, x, layers, p_means, q_means)
+        expected = ModelGradient.zeros_for(model)
+        reference_weighted_gradient(model, expected, weights, x, layers, p_means, q_means)
+        assert np.max(np.abs(grad.params - expected.params)) <= 1e-12 * np.max(np.abs(expected.params))
 
 
 class TestModelConstruction:

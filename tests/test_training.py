@@ -116,7 +116,8 @@ class TestMinibatchGradient:
         batch = (np.random.default_rng(71).random((3, 3)) < 0.5).astype(np.float64)
         grad = minibatch_gradient(model, batch, 4, np.random.default_rng(72))
 
-        layers = sample_q_rows(model, batch, 4, np.random.default_rng(72))
+        # The three rows are one block, which draws from the first child stream.
+        layers = sample_q_rows(model, batch, 4, np.random.default_rng(72).spawn(1)[0])
         expected = {name: np.zeros_like(a) for name, a in model.param_items()}
         b = batch.shape[0]
         for i in range(b):
@@ -154,7 +155,7 @@ class TestMinibatchGradient:
         model = zero_model([3, 2])
         batch = np.array([[1.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
         grad = minibatch_gradient(model, batch, 1, np.random.default_rng(73))
-        layers = sample_q_rows(model, batch, 1, np.random.default_rng(73))
+        layers = sample_q_rows(model, batch, 1, np.random.default_rng(73).spawn(1)[0])
         expected_prior = (layers[0][:, 0] - 0.5).mean(axis=0)
         assert np.all(np.abs(dict(grad.param_items())["prior.biases"] - expected_prior) < 1e-12)
 
@@ -164,7 +165,7 @@ class TestMinibatchGradient:
         model = zero_model([4, 3])
         batch = (np.random.default_rng(74).random((5, 4)) < 0.5).astype(np.float64)
         grad = minibatch_gradient(model, batch, 6, np.random.default_rng(75))
-        layers = sample_q_rows(model, batch, 6, np.random.default_rng(75))
+        layers = sample_q_rows(model, batch, 6, np.random.default_rng(75).spawn(1)[0])
         expected = (layers[0] - 0.5).mean(axis=(0, 1))
         assert np.all(np.abs(dict(grad.param_items())["prior.biases"] - expected) < 1e-12)
 
@@ -178,8 +179,9 @@ class TestMinibatchGradient:
         assert np.linalg.norm(est - exact) <= 0.1 * np.linalg.norm(exact)
 
     def test_row_blocks_match_one_row_calls(self, monkeypatch):
-        # With one row per block, the rows draw in turn from the generator
-        # and their gradients add up to the mean of one-row minibatches.
+        # With one row per block, row i draws from child i of the generator's
+        # spawned streams, as the i-th one-row call's one block does, and
+        # their gradients add up to the mean of one-row minibatches.
         model = random_model([6, 4, 3], np.random.default_rng(78))
         batch = (np.random.default_rng(79).random((5, 6)) < 0.5).astype(np.float64)
         k = 7
@@ -195,6 +197,24 @@ class TestMinibatchGradient:
         batch = (np.random.default_rng(82).random((64, 20)) < 0.5).astype(np.float64)
         k = 200
         budget = k * sum(model.layer_sizes)
+        monkeypatch.setattr(estimators, "_BLOCK_FLOATS", budget)
+        tracemalloc.start()
+        try:
+            minibatch_gradient(model, batch, k, np.random.default_rng(83))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * (8 * budget + 4 * model.params.size)
+
+    def test_memory_bounded_with_two_lanes(self, monkeypatch):
+        # Two rows of K samples fit the budget: one-row blocks run two at a
+        # time, each lane adding into its own gradient, and the peak follows
+        # the same bound.
+        model = random_model([20, 10, 5], np.random.default_rng(81))
+        batch = (np.random.default_rng(82).random((64, 20)) < 0.5).astype(np.float64)
+        k = 200
+        budget = 2 * k * sum(model.layer_sizes)
+        monkeypatch.setattr(estimators, "_CPUS", 2)
         monkeypatch.setattr(estimators, "_BLOCK_FLOATS", budget)
         tracemalloc.start()
         try:
