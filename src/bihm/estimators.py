@@ -24,10 +24,13 @@ has expectation exactly ``Z^2``.
 
 Rows (and outer samples) are independent, so they are scored in blocks that
 run two at a time: on the calling thread and, when the process may use two
-CPUs and BLAS is pinned to one thread, on one worker thread.  Each block
-draws from its own generator, spawned from the caller's before any block
-runs, and the float budget covers both blocks in flight; a fixed seed and
-budget give the same output on any machine.
+CPUs and BLAS is pinned to one thread, on one worker thread.  The training
+gradient's row blocks and the Gibbs chain blocks run through the same loop;
+a loop nested inside one of its blocks runs on that block's thread, so at
+most two threads run.  Each block draws from its own generator, spawned
+from the caller's when the block starts, and the float budget covers both
+blocks in flight; a fixed seed and budget give the same output on any
+machine.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from bihm.model import BihmModel, _checked_visible, p_pass, q_pass
+from bihm.model import BihmModel, _checked_visible, _row_sums, p_pass, q_pass
 
 __all__ = [
     "EstimateWithError",
@@ -65,16 +68,20 @@ __all__ = [
 # visible update's shared ptilde samples (chains x samples x (visible + latent
 # bits + proposals)).  Each loop cuts its work with :func:`_spans`; the loops
 # whose blocks run ``_IN_FLIGHT`` at a time (the estimators' row blocks, the
-# Gibbs chain blocks that hold them, and the gradient's row blocks, which run
-# in two lanes when two rows fit the budget together) cut at that share of
-# the budget, so it covers both blocks in flight.  A block's real peak is
+# Gibbs chain blocks, and the gradient's row blocks, which run in two lanes
+# when two rows fit the budget together) cut at that share of the budget,
+# so it covers both blocks in flight.  A loop nested in a block of such a
+# loop (the visible update's row blocks inside a chain block) runs its blocks
+# one at a time on that block's thread, so two of its blocks are in flight at
+# most, one per thread, as in a loop of its own.  A block's real peak is
 # about 5.5-6x its share, not 1x: the two passes keep their means, their
 # score buffers and the drawn layers alive at once, and the gradient adds
 # its deltas.
 _BLOCK_FLOATS = 2**18
 
-# Blocks of :func:`_blocked_rows` (and lanes of the gradient's row blocks)
-# that run at once: one on the calling thread, one on a worker thread.
+# Blocks of :func:`_blocked_rows` (and Gibbs chain blocks, and lanes of the
+# gradient's row blocks) that run at once: one on the calling thread, one on
+# a worker thread.
 _IN_FLIGHT = 2
 
 # CPUs the blocks may use, read at import: those this process may run on
@@ -98,6 +105,26 @@ def _spans(n: int, item_floats: int, in_flight: int = 1) -> list:
     return [(a, min(a + step, n)) for a in range(0, n, step)]
 
 
+def _block_streams(rng):
+    """``stream(i)``, the one generator block ``i`` of a loop draws from.
+
+    Block ``i`` gets child ``i`` of ``rng.spawn(1)[0]``, built from that
+    child's seed sequence only when ``stream(i)`` is called, so no list of
+    generators grows with the block count.
+    """
+    seq = rng.bit_generator.seed_seq.spawn(1)[0]
+
+    def stream(i):
+        return np.random.default_rng(np.random.SeedSequence(seq.entropy, spawn_key=seq.spawn_key + (i,)))
+
+    return stream
+
+
+# Set on both threads of a threaded :func:`_each_block` while they take
+# blocks: a block loop that starts inside one of them runs on its thread.
+_in_lane = threading.local()
+
+
 def _each_block(count: int, run) -> None:
     """Call ``run(i)`` once for every ``i`` in ``range(count)``.
 
@@ -105,9 +132,11 @@ def _each_block(count: int, run) -> None:
     one worker thread take the next ``i`` from one lock-protected counter
     until none is left, so a thread that is slowed down simply takes fewer
     blocks.  A failure on either thread stops both from taking more, and is
-    raised here once the worker has ended.
+    raised here once the worker has ended.  A loop nested in a block of a
+    threaded loop runs its blocks in turn on that block's thread, so no more
+    than two threads ever run.
     """
-    if count < 2 or _CPUS < 2:
+    if count < 2 or _CPUS < 2 or getattr(_in_lane, "busy", False):
         for i in range(count):
             run(i)
         return
@@ -117,6 +146,7 @@ def _each_block(count: int, run) -> None:
 
     def drain():
         nonlocal taken
+        _in_lane.busy = True
         while True:
             with lock:
                 if errors or taken == count:
@@ -134,6 +164,7 @@ def _each_block(count: int, run) -> None:
     try:
         drain()
     finally:
+        _in_lane.busy = False
         worker.join()
     if errors:
         raise errors[0]
@@ -214,10 +245,11 @@ def draw_weighted_samples(model: BihmModel, x, k: int, rng: np.random.Generator)
 def _logsumexp(a: np.ndarray):
     """``log sum exp(a)`` over the last axis, shifted by each row's maximum.
 
-    Takes finite entries only: a row whose maximum is infinite gives nan.
+    The sum is one GEMV (:func:`bihm.model._row_sums`).  Takes finite
+    entries only: a row whose maximum is infinite gives nan.
     """
     m = a.max(axis=-1)
-    return m + np.log(np.exp(a - m[..., None]).sum(axis=-1))
+    return m + np.log(_row_sums(np.exp(a - m[..., None])))
 
 
 def _log_mean_se(log_terms: np.ndarray, errors=True):
@@ -226,7 +258,8 @@ def _log_mean_se(log_terms: np.ndarray, errors=True):
     Each row is shifted by its own maximum.  The delta-method SE of the log
     is ``SE(m) / m``, computed as ``std(u) / (sqrt(K) mean(u))`` on the
     shifted terms ``u``, which is invariant to the shift; the effective
-    sample size is ``(sum u)^2 / sum u^2``.  Returns three arrays of the
+    sample size is ``(sum u)^2 / sum u^2``; the sums are GEMVs
+    (:func:`bihm.model._row_sums`).  Returns three arrays of the
     leading shape, or with ``errors`` False the log-means alone, as a
     one-tuple, without computing the SE and ESS.  The one temporary of the
     shape of ``log_terms`` holds ``u``, then its deviations from the mean,
@@ -236,7 +269,7 @@ def _log_mean_se(log_terms: np.ndarray, errors=True):
     m = log_terms.max(axis=-1, keepdims=True)
     u = np.subtract(log_terms, m)
     np.exp(u, out=u)
-    total = u.sum(axis=-1)
+    total = _row_sums(u)
     mean_u = total / k
     values = m[..., 0] + np.log(mean_u)
     if not errors:
@@ -247,7 +280,7 @@ def _log_mean_se(log_terms: np.ndarray, errors=True):
     else:
         u -= mean_u[..., None]
         np.multiply(u, u, out=u)
-        ses = np.sqrt(u.sum(axis=-1) / (k - 1)) / (np.sqrt(k) * mean_u)
+        ses = np.sqrt(_row_sums(u) / (k - 1)) / (np.sqrt(k) * mean_u)
     return values, ses, ess_rows
 
 
@@ -394,7 +427,7 @@ def _blocked_rows(n: int, k: int, sample_floats: int, row_block, rng, cols=(), e
     whole rows.
 
     The blocks run through :func:`_each_block`, on up to two threads.  Block
-    ``i`` draws only from child ``i`` of ``rng.spawn(blocks)``, and
+    ``i`` draws only from its stream of :func:`_block_streams`, and
     ``row_block`` must use no other generator, so the result depends on the
     seed and the budget, never on the threads or their timing.  Returns
     ``(values, std_errors, ess)``, each of shape ``(n, *cols)``, or with
@@ -402,12 +435,12 @@ def _blocked_rows(n: int, k: int, sample_floats: int, row_block, rng, cols=(), e
     """
     tiles = _spans(k, sample_floats, _IN_FLIGHT)
     blocks = _spans(n, k * sample_floats, _IN_FLIGHT)
-    streams = rng.spawn(len(blocks))
+    stream = _block_streams(rng)
     out = np.empty((3 if errors else 1, n, *cols))
 
     def run(i):
         start, stop = blocks[i]
-        tile = row_block(start, stop, streams[i])
+        tile = row_block(start, stop, stream(i))
         terms = np.empty((stop - start, *cols, k))
         for a, b in tiles:
             terms[..., a:b] = tile(b - a)

@@ -24,7 +24,8 @@ a one-row batch, ``x[None]``.  :func:`layer_log_prob` and
 
 A layer's activation is one 2-D BLAS matrix product over all leading axes
 of its input, and so is each weight gradient of :func:`weighted_gradient`,
-over all rows and samples of the weighted deltas and the inputs;
+over all rows and samples of the weighted deltas and the inputs, and a
+score's last-axis sum is one matrix-vector product, :func:`_row_sums`;
 :func:`sigmoid` is built from numpy's vectorized ``exp``, in place on the
 fresh logits.
 
@@ -356,6 +357,19 @@ class ModelGradient:
 # ---------------------------------------------------------------------------
 
 
+def _row_sums(a):
+    """``a.sum(axis=-1)`` as one 2-D matrix-vector product.
+
+    At the short last axes of the hot kernels numpy's reduce is 3-4 times
+    slower than a GEMV over all leading axes at once.  The GEMV may
+    add a row's terms in another order, which depends on its position in
+    the batch, so its last bits may differ from those of ``sum`` and from
+    those of the same row summed alone.  A non-contiguous ``a`` is copied.
+    """
+    d = a.shape[-1]
+    return (a.reshape(-1, d) @ np.ones(d)).reshape(a.shape[:-1])
+
+
 def bernoulli_step(mu, targets=None, rng=None, shape=None, keep_mean=False):
     """Draw ``targets`` from ``Bernoulli(mu)`` when none are given, then score them.
 
@@ -364,8 +378,9 @@ def bernoulli_step(mu, targets=None, rng=None, shape=None, keep_mean=False):
     the step itself does not.  Each target is scored by the probability the
     clamped mean ``c = clip(mu, SIGMOID_EPS, 1 - SIGMOID_EPS)`` gives it,
     ``|(1 - t) - c|`` (``c`` if ``t = 1``, ``1 - c`` if ``t = 0``), with one
-    log per unit, and the log-probability sums the last axis.  Returns
-    ``(targets, log_prob, mean)``.  With ``keep_mean`` the clamp works on a
+    log per unit, and the log-probability sums the last axis as one GEMV
+    (:func:`_row_sums`), whose last bits depend on the row's position in
+    the batch.  Returns ``(targets, log_prob, mean)``.  With ``keep_mean`` the clamp works on a
     copy and ``mean`` is the unclamped ``mu`` that gradients need; otherwise
     ``mu`` is clamped in place and ``mean`` is None.
     """
@@ -374,7 +389,7 @@ def bernoulli_step(mu, targets=None, rng=None, shape=None, keep_mean=False):
     clamped = np.clip(mu, SIGMOID_EPS, 1.0 - SIGMOID_EPS, out=None if keep_mean else mu)
     prob = np.subtract(1.0 - targets, clamped)
     np.abs(prob, out=prob)
-    log_prob = np.log(prob, out=prob).sum(axis=-1)
+    log_prob = _row_sums(np.log(prob, out=prob))
     return targets, log_prob, (mu if keep_mean else None)
 
 

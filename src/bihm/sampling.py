@@ -41,12 +41,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from bihm.estimators import _IN_FLIGHT, _blocked_rows, _log_mean_se, _spans
+from bihm.estimators import _IN_FLIGHT, _block_streams, _blocked_rows, _each_block, _spans
 from bihm.model import (
     SIGMOID_EPS,
     BihmModel,
     _check_last_dim,
     _checked_visible,
+    _row_sums,
     bernoulli_step,
     p_pass,
     q_pass,
@@ -101,7 +102,7 @@ def _log1m_sum(logits):
     from overflow.
     """
     np.exp(logits, out=logits)
-    return -np.log1p(logits, out=logits).sum(axis=-1)
+    return -_row_sums(np.log1p(logits, out=logits))
 
 
 def _visible_log_terms(model, cand, h1, s, rng):
@@ -134,7 +135,7 @@ def _visible_log_terms(model, cand, h1, s, rng):
 
     def row_block(start, stop, rng):
         x, mu_x = cand[start:stop], mu_q[start:stop]
-        lq_x, lq_norm_x = lq[start:stop].swapaxes(1, 2), lq_norm[start:stop, None, :]
+        lq_x, lq_norm_x = lq[start:stop], lq_norm[start:stop, :, None]
         rows = np.arange(stop - start)[:, None]
 
         def tile(m):
@@ -149,15 +150,16 @@ def _visible_log_terms(model, cand, h1, s, rng):
             lp_up = bernoulli_step(sigmoid(model.prior.biases), hs[-1])[1]
             for i in range(1, L):
                 lp_up += bernoulli_step(model.p_layers[i].mean(hs[i]), hs[i - 1])[1]
-            # log q(h_1 | x_j), samples by candidates, and from it the log of
-            # the first-layer mixture (1/P) sum_j q(h_1 | x_j).
-            lq_cross = np.matmul(hs[0], lq_x)
+            # log q(h_1 | x_j), candidates by samples, and from it the log of
+            # the first-layer mixture (1/P) sum_j q(h_1 | x_j), over axis 1.
+            lq_cross = np.matmul(lq_x, hs[0].swapaxes(1, 2))
             lq_cross += lq_norm_x
-            log_r = _log_mean_se(lq_cross, errors=False)[0]
+            top = lq_cross.max(axis=1)
+            log_r = top + np.log(np.exp(lq_cross - top[:, None, :]).mean(axis=1))
             lp_x = model.p_layers[0].activation(hs[0])
             np.clip(lp_x, -_LOGIT_CLIP, _LOGIT_CLIP, out=lp_x)
             terms = np.matmul(x, lp_x.swapaxes(1, 2))
-            terms += lq_cross.swapaxes(1, 2)
+            terms += lq_cross
             per_sample = _log1m_sum(lp_x) + lp_up - lq_up - 2.0 * log_r
             terms += per_sample[:, None, :]
             terms *= 0.5
@@ -223,25 +225,34 @@ def _sweep_chains(model, chains, config, rng, mask=None, observed=None) -> None:
 def _run_chains(model, count, config, rng, init, mask=None, observed=None) -> list:
     """Sweep ``count`` chains block by block; returns ``[X, H1, ..., HL]``.
 
-    ``init(rows)`` gives the starting ``[X, H1, ..., HL]`` of a block.  The
-    blocks are :func:`bihm.estimators._spans` of chains, each holding
-    ``proposals x widest layer`` candidate floats, cut at half the float
-    budget because each holds the visible update's two blocks in flight
-    while they run; so the candidate arrays stay under the budget whatever
-    the chain count, and the visible update's shared ptilde samples are cut
-    again within a block (see :func:`_visible_log_terms`).  Each block is
-    written into the output arrays, allocated once, so the output is held
-    once.  The draws depend on that split: one generator serves the blocks
-    in turn.
+    ``init(rows, rng)`` draws the starting ``[X, H1, ..., HL]`` of a block
+    from ``rng``.  The blocks are :func:`bihm.estimators._spans` of chains,
+    each holding ``proposals x widest layer`` candidate floats, cut at half
+    the float budget because two run at once; so the candidate arrays stay
+    under the budget whatever the chain count, and the visible update's
+    shared ptilde samples are cut again within a block (see
+    :func:`_visible_log_terms`).  The blocks run through
+    :func:`bihm.estimators._each_block`, on up to two threads, and block
+    ``i`` (its start included) draws only from its stream of
+    :func:`bihm.estimators._block_streams`, so the draws depend on the seed
+    and the split, never on the threads.  Each block is written into the
+    output arrays, allocated once, so the output is held once.
     """
     outs = [np.empty((count, d)) for d in model.layer_sizes]
     item_floats = config.proposals_per_step * max(model.layer_sizes)
-    for start, stop in _spans(count, item_floats, _IN_FLIGHT):
-        chains = init(stop - start)
+    blocks = _spans(count, item_floats, _IN_FLIGHT)
+    stream = _block_streams(rng)
+
+    def run(i):
+        start, stop = blocks[i]
+        block_rng = stream(i)
+        chains = init(stop - start, block_rng)
         for _ in range(config.num_sweeps):
-            _sweep_chains(model, chains, config, rng, mask=mask, observed=observed)
+            _sweep_chains(model, chains, config, block_rng, mask=mask, observed=observed)
         for out, block in zip(outs, chains):
             out[start:stop] = block
+
+    _each_block(len(blocks), run)
     return outs
 
 
@@ -250,14 +261,15 @@ def gibbs_sample_chains(
 ) -> list:
     """Run ``count`` independent chains at once; returns ``[X, H1, ..., HL]``.
 
-    All chains are initialized from model samples and share the generator;
-    per-row draws are independent.  This is the bulk path behind sample
-    generation and the stationarity checks.
+    All chains are initialized from model samples, drawn, like the sweeps,
+    from the streams the chain blocks spawn from ``rng``; per-row draws are
+    independent.  This is the bulk path behind sample generation and the
+    stationarity checks.
     """
     if count < 1:
         raise ValueError("count must be positive")
 
-    def init(rows):
+    def init(rows, rng):
         drawn = p_pass(model, k=rows, rng=rng)
         return [drawn.x] + drawn.layers
 
@@ -288,7 +300,7 @@ def inpaint_chains(
     if count < 1:
         raise ValueError("count must be positive")
 
-    def init(rows):
+    def init(rows, rng):
         return [np.tile(x, (rows, 1))] + q_pass(model, x, k=rows, rng=rng).layers
 
     return _run_chains(model, count, config, rng, init, mask=m, observed=x)[0]

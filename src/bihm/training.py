@@ -25,7 +25,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from bihm import estimators
-from bihm.estimators import _IN_FLIGHT, _each_block, _spans
+from bihm.estimators import _IN_FLIGHT, _block_streams, _each_block, _spans
 from bihm.estimators import ZEstimateConfig, est_log_z2, estimate_rows, log_weights
 from bihm.model import (
     BihmModel,
@@ -127,8 +127,8 @@ def minibatch_gradient(
     Rows are drawn and weighed in blocks cut at ``_IN_FLIGHT`` shares of the
     estimators' float budget (one row of ``k`` samples at least), so memory
     follows that budget, not the batch size.  Block ``i`` draws only from
-    child ``i`` of ``rng.spawn(blocks)``.  When two rows' samples fit the
-    budget together, the blocks run in two lanes through
+    its stream of :func:`bihm.estimators._block_streams`.  When two rows'
+    samples fit the budget together, the blocks run in two lanes through
     :func:`bihm.estimators._each_block`: lane ``j`` adds blocks ``j, j + 2,
     ...`` in order into its own gradient, and the result is lane 0 plus
     lane 1.  Otherwise one lane takes every block, so a row bigger than
@@ -140,14 +140,14 @@ def minibatch_gradient(
     x = _checked_visible(model, batch, 2, "batch", binary=True)
     sample_floats = k * sum(model.layer_sizes)
     blocks = _spans(x.shape[0], sample_floats, _IN_FLIGHT)
-    streams = rng.spawn(len(blocks))
+    stream = _block_streams(rng)
     lanes = _IN_FLIGHT if _IN_FLIGHT * sample_floats <= estimators._BLOCK_FLOATS else 1
     grads = [ModelGradient.zeros_for(model) for _ in range(min(lanes, len(blocks)))]
 
     def lane(j):
         for i in range(j, len(blocks), len(grads)):
             rows = x[slice(*blocks[i])]
-            lw, p, q = log_weights(model, rows, k=k, rng=streams[i], keep_means=True)
+            lw, p, q = log_weights(model, rows, k=k, rng=stream(i), keep_means=True)
             w = np.exp(lw - lw.max(axis=1, keepdims=True))
             w /= w.sum(axis=1, keepdims=True)
             w /= x.shape[0]

@@ -2,9 +2,16 @@
 
 import os
 
+# BLAS pinned to one thread before numpy is first imported, so that
+# ``bihm.estimators._CPUS`` reads every CPU this process may use and the
+# suite runs the two-lane block paths on any machine with two or more.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
 import numpy as np
 import pytest
 
+from bihm import estimators
 from bihm.training import TrainConfig, init_model, train
 
 # Lines recorded by the acceptance tests, echoed in the terminal summary so
@@ -20,6 +27,7 @@ def record_criterion(number, status, detail):
 
 
 def pytest_terminal_summary(terminalreporter):
+    terminalreporter.write_line(f"bihm.estimators._CPUS = {estimators._CPUS}")
     if ACCEPTANCE_LINES:
         terminalreporter.write_sep("-", "acceptance criteria")
         for line in ACCEPTANCE_LINES:

@@ -1,5 +1,5 @@
-"""The block loop of the estimators and of the gradient's lanes: two blocks in
-flight, each on its own spawned stream.
+"""The block loop of the estimators, of the gradient's lanes and of the Gibbs
+chain blocks: two blocks in flight, each on its own spawned stream.
 
 Every test runs its work under :func:`bounded`, so a deadlock fails the test
 instead of hanging the suite.  The worker thread is turned off by setting
@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from bihm import estimators
+from bihm import estimators, sampling
 from bihm.estimators import ZEstimateConfig, est_log_z2, estimate_rows
 from bihm.model import random_model
 from bihm.sampling import GibbsConfig, gibbs_sample_chains, inpaint_chains
@@ -56,15 +56,19 @@ def log_z2():
 # Each returns a list of arrays.  With the budgets below every call cuts its
 # work into several blocks: 13 floats per sample, so 3 rows of 20 samples to
 # a 1000-float share; rows of 500 samples in tiles of 76; 38 outer samples to
-# a block; Gibbs chains whose visible updates each run several blocks; and
-# gradient rows of 10 samples, 130 floats, whose two lanes take 6 blocks of
-# up to 7 rows at 2000 floats and 40 one-row blocks at 300.
+# a block; 30 Gibbs chains, one chain block at 2000 floats, whose visible
+# updates each run several blocks; 200 chains of 5 proposals on 6 visibles,
+# 30 floats each, in 7 chain blocks of up to 33 at 2000 floats; and gradient
+# rows of 10 samples, 130 floats, whose two lanes take 6 blocks of up to 7
+# rows at 2000 floats and 40 one-row blocks at 300.
 CALLS = {
     "rows": lambda: list(estimate_rows(MODEL, XS, 20, np.random.default_rng(142))),
     "tiled rows": lambda: list(estimate_rows(MODEL, XS[:5], 500, np.random.default_rng(143), squared=True)),
     "log Z2": log_z2,
     "gibbs": lambda: gibbs_sample_chains(MODEL, 30, GIBBS, np.random.default_rng(145)),
     "inpaint": lambda: [inpaint_chains(MODEL, XS[0], MASK, 30, GIBBS, np.random.default_rng(146))],
+    "gibbs chain blocks": lambda: gibbs_sample_chains(MODEL, 200, GIBBS, np.random.default_rng(148)),
+    "inpaint chain blocks": lambda: [inpaint_chains(MODEL, XS[1], MASK, 200, GIBBS, np.random.default_rng(149))],
     "gradient": lambda: [minibatch_gradient(MODEL, XS, 10, np.random.default_rng(147)).params],
 }
 
@@ -102,6 +106,38 @@ def test_identical_under_constant_thread_switching(monkeypatch):
         sys.setswitchinterval(interval)
     for a, b in zip(switched, alone):
         assert_same(a, b)
+
+
+def test_nested_block_loops_stay_on_their_thread(monkeypatch):
+    # Every block of a visible update's row loop runs on the thread of the
+    # chain block that called it, so no more than two threads ever run.
+    original = sampling._blocked_rows
+    lock = threading.Lock()
+    seen = []
+
+    def recording(n, k, sample_floats, row_block, rng, *args, **kwargs):
+        caller = threading.get_ident()
+
+        def recorded(start, stop, rng):
+            with lock:
+                seen.append((caller, threading.get_ident(), threading.active_count()))
+            return row_block(start, stop, rng)
+
+        return original(n, k, sample_floats, recorded, rng, *args, **kwargs)
+
+    def call():
+        started = threading.active_count()
+        CALLS["gibbs chain blocks"]()
+        return started
+
+    monkeypatch.setattr(sampling, "_blocked_rows", recording)
+    baseline = threading.active_count()
+    started = run_with(monkeypatch, 2, 2000, call)
+    assert len(seen) > 7
+    assert all(caller == inner for caller, inner, _ in seen)
+    assert len({inner for _, inner, _ in seen}) <= 2
+    assert max(count for _, _, count in seen) <= started + 1
+    assert threading.active_count() == baseline
 
 
 def test_both_threads_take_blocks(monkeypatch):

@@ -19,6 +19,7 @@ from bihm.model import (
     FactorizedPrior,
     ModelGradient,
     ShapeError,
+    _row_sums,
     bernoulli_step,
     clamped_sigmoid,
     layer_log_prob,
@@ -204,6 +205,37 @@ class TestLayerLogProb:
         targets = bit_matrix(3)
         total = np.exp(layer_log_prob(layer, v, targets)).sum()
         assert abs(total - 1.0) < 1e-10
+
+
+class TestRowSums:
+    """The last-axis sum as one matrix-vector product."""
+
+    def test_agrees_with_sum_for_every_width(self):
+        # The GEMV may add a row's terms in another order, so agreement is to
+        # d rounding steps of the row's absolute sum, not bitwise.
+        rng = np.random.default_rng(300)
+        eps = np.finfo(np.float64).eps
+        for d in range(1, 785):
+            a = rng.normal(size=(5, d)) * rng.choice([1e-3, 1.0, 1e3], size=(5, 1))
+            bound = d * eps * np.abs(a).sum(axis=-1)
+            assert np.all(np.abs(_row_sums(a) - a.sum(axis=-1)) <= bound), d
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            np.arange(7.0),
+            np.zeros((0, 4)),
+            np.arange(24.0).reshape(2, 3, 4),
+            np.arange(60.0).reshape(6, 10)[1::2, ::3],
+            np.arange(60.0).reshape(6, 10).T,
+        ],
+        ids=["1-D", "zero rows", "3-D", "strided view", "transposed view"],
+    )
+    def test_shapes_and_views(self, a):
+        # Small integers sum exactly in any order.
+        out = _row_sums(a)
+        assert out.shape == a.shape[:-1]
+        assert_array_equal(out, a.sum(axis=-1))
 
 
 @st.composite

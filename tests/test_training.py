@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from bihm import estimators
+from bihm import estimators, training
 from bihm.model import (
     ModelGradient,
     ShapeError,
@@ -116,8 +116,9 @@ class TestMinibatchGradient:
         batch = (np.random.default_rng(71).random((3, 3)) < 0.5).astype(np.float64)
         grad = minibatch_gradient(model, batch, 4, np.random.default_rng(72))
 
-        # The three rows are one block, which draws from the first child stream.
-        layers = sample_q_rows(model, batch, 4, np.random.default_rng(72).spawn(1)[0])
+        # The three rows are one block, block 0, which draws from child 0 of
+        # the generator's first spawned child.
+        layers = sample_q_rows(model, batch, 4, np.random.default_rng(72).spawn(1)[0].spawn(1)[0])
         expected = {name: np.zeros_like(a) for name, a in model.param_items()}
         b = batch.shape[0]
         for i in range(b):
@@ -155,7 +156,7 @@ class TestMinibatchGradient:
         model = zero_model([3, 2])
         batch = np.array([[1.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
         grad = minibatch_gradient(model, batch, 1, np.random.default_rng(73))
-        layers = sample_q_rows(model, batch, 1, np.random.default_rng(73).spawn(1)[0])
+        layers = sample_q_rows(model, batch, 1, np.random.default_rng(73).spawn(1)[0].spawn(1)[0])
         expected_prior = (layers[0][:, 0] - 0.5).mean(axis=0)
         assert np.all(np.abs(dict(grad.param_items())["prior.biases"] - expected_prior) < 1e-12)
 
@@ -165,7 +166,7 @@ class TestMinibatchGradient:
         model = zero_model([4, 3])
         batch = (np.random.default_rng(74).random((5, 4)) < 0.5).astype(np.float64)
         grad = minibatch_gradient(model, batch, 6, np.random.default_rng(75))
-        layers = sample_q_rows(model, batch, 6, np.random.default_rng(75).spawn(1)[0])
+        layers = sample_q_rows(model, batch, 6, np.random.default_rng(75).spawn(1)[0].spawn(1)[0])
         expected = (layers[0] - 0.5).mean(axis=(0, 1))
         assert np.all(np.abs(dict(grad.param_items())["prior.biases"] - expected) < 1e-12)
 
@@ -179,16 +180,20 @@ class TestMinibatchGradient:
         assert np.linalg.norm(est - exact) <= 0.1 * np.linalg.norm(exact)
 
     def test_row_blocks_match_one_row_calls(self, monkeypatch):
-        # With one row per block, row i draws from child i of the generator's
-        # spawned streams, as the i-th one-row call's one block does, and
-        # their gradients add up to the mean of one-row minibatches.
+        # With one row per block, row i draws from block i's stream; a
+        # one-row call whose one block draws from that same stream gives its
+        # gradient, and the blocks add up to the mean of those one-row
+        # minibatches.
         model = random_model([6, 4, 3], np.random.default_rng(78))
         batch = (np.random.default_rng(79).random((5, 6)) < 0.5).astype(np.float64)
         k = 7
         monkeypatch.setattr(estimators, "_BLOCK_FLOATS", k * sum(model.layer_sizes))
         grad = minibatch_gradient(model, batch, k, np.random.default_rng(80))
-        rng = np.random.default_rng(80)
-        rows = [minibatch_gradient(model, row[None], k, rng).params for row in batch]
+        stream = estimators._block_streams(np.random.default_rng(80))
+        rows = []
+        for i, row in enumerate(batch):
+            monkeypatch.setattr(training, "_block_streams", lambda rng: lambda j: stream(i))
+            rows.append(minibatch_gradient(model, row[None], k, None).params)
         assert np.all(np.abs(grad.params - np.mean(rows, axis=0)) < 1e-12)
 
     def test_memory_bounded_by_block_budget(self, monkeypatch):
