@@ -25,8 +25,10 @@ has expectation exactly ``Z^2``.
 Rows (and outer samples) are independent, so they are scored in blocks that
 run two at a time: on the calling thread and, when the process may use two
 CPUs and BLAS is pinned to one thread, on one worker thread.  The training
-gradient's row blocks and the Gibbs chain blocks run through the same loop;
-a loop nested inside one of its blocks runs on that block's thread, so at
+gradient's row blocks and the Gibbs chain blocks run through the same loop,
+and Gibbs chains that would fit one block are cut into one block per lane,
+so even a few chains use both lanes; a loop nested inside one of its blocks
+(the Gibbs visible update's row blocks) runs on that block's thread, so at
 most two threads run.  Each block draws from its own generator, spawned
 from the caller's when the block starts, and the float budget covers both
 blocks in flight; a fixed seed and budget give the same output on any
@@ -70,10 +72,11 @@ __all__ = [
 # whose blocks run ``_IN_FLIGHT`` at a time (the estimators' row blocks, the
 # Gibbs chain blocks, and the gradient's row blocks, which run in two lanes
 # when two rows fit the budget together) cut at that share of the budget,
-# so it covers both blocks in flight.  A loop nested in a block of such a
-# loop (the visible update's row blocks inside a chain block) runs its blocks
-# one at a time on that block's thread, so two of its blocks are in flight at
-# most, one per thread, as in a loop of its own.  A block's real peak is
+# so it covers both blocks in flight; chains that fit one share are cut into
+# one block per lane instead.  A loop nested in a block of such a loop (the
+# visible update's row blocks inside a chain block) runs its blocks one at a
+# time on that block's thread, so two of its blocks are in flight at most,
+# one per thread, as in a loop of its own.  A block's real peak is
 # about 5.5-6x its share, not 1x: the two passes keep their means, their
 # score buffers and the drawn layers alive at once, and the gradient adds
 # its deltas.
@@ -81,7 +84,8 @@ _BLOCK_FLOATS = 2**18
 
 # Blocks of :func:`_blocked_rows` (and Gibbs chain blocks, and lanes of the
 # gradient's row blocks) that run at once: one on the calling thread, one on
-# a worker thread.
+# a worker thread.  Gibbs runs at least this many chain blocks when it has
+# this many chains, whatever the CPUs, so its draws are the same anywhere.
 _IN_FLIGHT = 2
 
 # CPUs the blocks may use, read at import: those this process may run on

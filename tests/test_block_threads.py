@@ -53,18 +53,32 @@ def log_z2():
     return [np.array([z.value, z.std_error])]
 
 
-# Each returns a list of arrays.  With the budgets below every call cuts its
-# work into several blocks: 13 floats per sample, so 3 rows of 20 samples to
-# a 1000-float share; rows of 500 samples in tiles of 76; 38 outer samples to
-# a block; 30 Gibbs chains, one chain block at 2000 floats, whose visible
-# updates each run several blocks; 200 chains of 5 proposals on 6 visibles,
-# 30 floats each, in 7 chain blocks of up to 33 at 2000 floats; and gradient
-# rows of 10 samples, 130 floats, whose two lanes take 6 blocks of up to 7
-# rows at 2000 floats and 40 one-row blocks at 300.
+def visible_log_terms():
+    # 12 chains of 5 candidates, 20 shared samples of 18 floats each (13 bits
+    # and 5 cross terms): 2 chains to a 1000-float share, so 6 row blocks of
+    # the visible update's own loop, with nothing around it.
+    rng = np.random.default_rng(150)
+    cand = (rng.random((12, 5, 6)) < 0.5).astype(np.float64)
+    h1 = (rng.random((12, 4)) < 0.5).astype(np.float64)
+    return list(sampling._visible_log_terms(MODEL, cand, h1, 20, rng))
+
+
+# Each returns a list of arrays.  With the budgets below every call but the
+# one-chain one cuts its work into several blocks: 13 floats per sample, so 3
+# rows of 20 samples to a 1000-float share; rows of 500 samples in tiles of
+# 76; 38 outer samples to a block; the visible update's 12 chains in 6 row
+# blocks; chains of 5 proposals on 6 visibles, 30 floats each, 33 to a
+# 1000-float share, so 30 Gibbs chains run as two chain blocks of 15, one per
+# lane, whose visible updates run their row blocks nested on the lane's
+# thread, and 200 chains as 7 chain blocks of up to 33; one chain is one
+# block; and gradient rows of 10 samples, 130 floats, whose two lanes take 6
+# blocks of up to 7 rows at 2000 floats and 40 one-row blocks at 300.
 CALLS = {
     "rows": lambda: list(estimate_rows(MODEL, XS, 20, np.random.default_rng(142))),
     "tiled rows": lambda: list(estimate_rows(MODEL, XS[:5], 500, np.random.default_rng(143), squared=True)),
     "log Z2": log_z2,
+    "visible log terms": visible_log_terms,
+    "one chain": lambda: gibbs_sample_chains(MODEL, 1, GIBBS, np.random.default_rng(151)),
     "gibbs": lambda: gibbs_sample_chains(MODEL, 30, GIBBS, np.random.default_rng(145)),
     "inpaint": lambda: [inpaint_chains(MODEL, XS[0], MASK, 30, GIBBS, np.random.default_rng(146))],
     "gibbs chain blocks": lambda: gibbs_sample_chains(MODEL, 200, GIBBS, np.random.default_rng(148)),
@@ -138,6 +152,24 @@ def test_nested_block_loops_stay_on_their_thread(monkeypatch):
     assert len({inner for _, inner, _ in seen}) <= 2
     assert max(count for _, _, count in seen) <= started + 1
     assert threading.active_count() == baseline
+
+
+@pytest.mark.parametrize("name, workers", [("one chain", 0), ("gibbs", 1), ("inpaint", 1)])
+def test_few_chains_start_one_worker_at_most(monkeypatch, name, workers):
+    # One chain is one block, run on the calling thread with its nested
+    # loops.  Two lanes' worth of chains start the worker once, for the
+    # chain blocks; the visible updates' row loops inside them start none.
+    started = []
+
+    class Recording(threading.Thread):
+        def start(self):
+            if self.name == "bihm-blocks":
+                started.append(self.name)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Recording)
+    run_with(monkeypatch, 2, 2000, CALLS[name])
+    assert len(started) == workers
 
 
 def test_both_threads_take_blocks(monkeypatch):

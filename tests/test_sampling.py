@@ -21,6 +21,7 @@ from bihm.oracle import exact_conditional_pstar, exact_log_ptilde
 from bihm.sampling import (
     GibbsConfig,
     _categorical_rows,
+    _chain_blocks,
     _update_chains,
     _visible_log_terms,
     expected_visible,
@@ -224,6 +225,27 @@ class TestChainStationarity:
             tracemalloc.stop()
         output = sum(a.nbytes for a in chains)
         assert peak < output + 16 * 8 * budget
+
+
+class TestChainBlocks:
+    """How :func:`bihm.sampling._run_chains` cuts its chains into blocks."""
+
+    # 30 candidate floats per chain at a 2000-float budget: 33 chains to a
+    # lane's share, so counts up to 33 fit one share and 200 does not.
+    @pytest.mark.parametrize("count", [1, 2, 3, 4, 200])
+    def test_blocks_cover_the_chains_within_a_share_on_either_lane_count(self, monkeypatch, count):
+        monkeypatch.setattr(estimators, "_BLOCK_FLOATS", 2000)
+        share = 2000 // (estimators._IN_FLIGHT * 30)
+        splits = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(estimators, "_CPUS", cpus)
+            splits.append(_chain_blocks(count, 30))
+        blocks = splits[0]
+        assert splits[1] == blocks
+        assert [i for a, b in blocks for i in range(a, b)] == list(range(count))
+        assert all(a < b for a, b in blocks)
+        assert len(blocks) >= min(count, estimators._IN_FLIGHT)
+        assert max(b - a for a, b in blocks) <= share
 
 
 class TestSharedPtilde:
