@@ -22,17 +22,17 @@ means themselves are unbiased.
 ``h' ~ q(. | x)``, the statistic ``sqrt(p(x,h') q(h|x) / (p(x,h) q(h'|x)))``
 has expectation exactly ``Z^2``.
 
-Rows (and outer samples) are independent, so they are scored in blocks that
-run two at a time: on the calling thread and, when the process may use two
-CPUs and BLAS is pinned to one thread, on one worker thread.  The training
-gradient's row blocks and the Gibbs chain blocks run through the same loop,
-and Gibbs chains that would fit one block are cut into one block per lane,
-so even a few chains use both lanes; a loop nested inside one of its blocks
-(the Gibbs visible update's row blocks) runs on that block's thread, so at
-most two threads run.  Each block draws from its own generator, spawned
-from the caller's when the block starts, and the float budget covers both
-blocks in flight; a fixed seed and budget give the same output on any
-machine.
+Rows (and outer samples) are independent, so they are scored in blocks by
+the package's one block loop, ``_each_block``, which also runs the training
+gradient's rows and the Gibbs chains.  It cuts every loop by one rule, gives
+block ``i`` its own generator, spawned from the caller's when the block
+starts, and puts block ``i`` in lane ``i % 2``.  Lane 1 runs on one worker
+thread when the process may use two CPUs, BLAS is pinned to one thread, the
+loop has two blocks or more, two of its items fit the float budget together
+and it is not nested in a block of a threaded loop; otherwise every block
+runs on the calling thread, so at most two threads run.  The budget covers
+both blocks in flight, and a fixed seed and budget give the same output on
+any machine.
 """
 
 from __future__ import annotations
@@ -69,23 +69,20 @@ __all__ = [
 # the oracle's enumeration blocks, the Gibbs chain blocks and, within them, the
 # visible update's shared ptilde samples (chains x samples x (visible + latent
 # bits + proposals)).  Each loop cuts its work with :func:`_spans`; the loops
-# whose blocks run ``_IN_FLIGHT`` at a time (the estimators' row blocks, the
-# Gibbs chain blocks, and the gradient's row blocks, which run in two lanes
-# when two rows fit the budget together) cut at that share of the budget,
-# so it covers both blocks in flight; chains that fit one share are cut into
-# one block per lane instead.  A loop nested in a block of such a loop (the
-# visible update's row blocks inside a chain block) runs its blocks one at a
-# time on that block's thread, so two of its blocks are in flight at most,
-# one per thread, as in a loop of its own.  A block's real peak is
-# about 5.5-6x its share, not 1x: the two passes keep their means, their
-# score buffers and the drawn layers alive at once, and the gradient adds
-# its deltas.
+# of :func:`_each_block`, whose blocks run ``_IN_FLIGHT`` at a time, cut at
+# that share of the budget, so it covers both blocks in flight.  A loop
+# nested in a block of a threaded loop (the visible update's row blocks
+# inside a chain block) runs its blocks one at a time on that block's
+# thread, so two of its blocks are in flight at most, one per thread, as in
+# a loop of its own.  A block's real peak is about 5.5-6x its share, not 1x:
+# the two passes keep their means, their score buffers and the drawn layers
+# alive at once, and the gradient adds its deltas.
 _BLOCK_FLOATS = 2**18
 
-# Blocks of :func:`_blocked_rows` (and Gibbs chain blocks, and lanes of the
-# gradient's row blocks) that run at once: one on the calling thread, one on
-# a worker thread.  Gibbs runs at least this many chain blocks when it has
-# this many chains, whatever the CPUs, so its draws are the same anywhere.
+# Lanes of :func:`_each_block`, and so its blocks that run at once: one on
+# the calling thread, one on a worker thread.  A loop of this many items or
+# more runs at least this many blocks, whatever the CPUs, so its draws are
+# the same anywhere.
 _IN_FLIGHT = 2
 
 # CPUs the blocks may use, read at import: those this process may run on
@@ -109,64 +106,68 @@ def _spans(n: int, item_floats: int, in_flight: int = 1) -> list:
     return [(a, min(a + step, n)) for a in range(0, n, step)]
 
 
-def _block_streams(rng):
-    """``stream(i)``, the one generator block ``i`` of a loop draws from.
-
-    Block ``i`` gets child ``i`` of ``rng.spawn(1)[0]``, built from that
-    child's seed sequence only when ``stream(i)`` is called, so no list of
-    generators grows with the block count.
-    """
-    seq = rng.bit_generator.seed_seq.spawn(1)[0]
-
-    def stream(i):
-        return np.random.default_rng(np.random.SeedSequence(seq.entropy, spawn_key=seq.spawn_key + (i,)))
-
-    return stream
-
-
-# Set on both threads of a threaded :func:`_each_block` while they take
+# Set on both threads of a threaded :func:`_each_block` while they run
 # blocks: a block loop that starts inside one of them runs on its thread.
 _in_lane = threading.local()
 
 
-def _each_block(count: int, run) -> None:
-    """Call ``run(i)`` once for every ``i`` in ``range(count)``.
+def _each_block(n: int, item_floats: int, rng, run) -> None:
+    """Call ``run(lane, start, stop, block_rng)`` for blocks that cover ``range(n)``.
 
-    The calling thread and, when there are two blocks or more and two CPUs,
-    one worker thread take the next ``i`` from one lock-protected counter
-    until none is left, so a thread that is slowed down simply takes fewer
-    blocks.  A failure on either thread stops both from taking more, and is
-    raised here once the worker has ended.  A loop nested in a block of a
-    threaded loop runs its blocks in turn on that block's thread, so no more
-    than two threads ever run.
+    The one block loop of the package: it decides how a loop of ``n`` items
+    of ``item_floats`` floats each is cut, seeded and scheduled.
+
+    - Cut: the blocks are :func:`_spans` at ``1 / _IN_FLIGHT`` of the float
+      budget, because that many run at once.  When all ``n`` items fit one
+      block and number ``_IN_FLIGHT`` or more, they are cut into
+      ``_IN_FLIGHT`` even blocks instead, so a few items still fill both
+      lanes.
+    - Seed: block ``i`` draws only from ``block_rng``, child ``i`` of
+      ``rng.spawn(1)[0]``, built when the block starts, so no list of
+      generators grows with the block count.
+    - Lanes: block ``i`` belongs to lane ``i % _IN_FLIGHT``, and each lane
+      runs its blocks in order.  Lane 1 runs on one worker thread when
+      there are two CPUs, two blocks or more, two items fit the budget
+      together, and the loop is not nested in a block of a threaded loop;
+      otherwise every block runs in order on the calling thread.  So no
+      more than two threads ever run.
+
+    The cut, the streams and the lanes depend on ``n``, ``item_floats`` and
+    the budget only, so the output depends on the seed and the budget, never
+    on the threads or their timing.  A failure in either lane stops both
+    from starting more blocks, and is raised here once the worker has ended.
     """
-    if count < 2 or _CPUS < 2 or getattr(_in_lane, "busy", False):
-        for i in range(count):
-            run(i)
+    blocks = _spans(n, item_floats, _IN_FLIGHT)
+    if len(blocks) == 1 and n >= _IN_FLIGHT:
+        blocks = [(n * j // _IN_FLIGHT, n * (j + 1) // _IN_FLIGHT) for j in range(_IN_FLIGHT)]
+    seq = rng.bit_generator.seed_seq.spawn(1)[0]
+
+    def block(i):
+        block_rng = np.random.default_rng(np.random.SeedSequence(seq.entropy, spawn_key=seq.spawn_key + (i,)))
+        run(i % _IN_FLIGHT, *blocks[i], block_rng)
+
+    threaded = _CPUS >= 2 and len(blocks) >= 2 and _IN_FLIGHT * item_floats <= _BLOCK_FLOATS
+    if not threaded or getattr(_in_lane, "busy", False):
+        for i in range(len(blocks)):
+            block(i)
         return
-    lock = threading.Lock()
-    taken = 0
     errors = []
 
-    def drain():
-        nonlocal taken
+    def lane(j):
         _in_lane.busy = True
-        while True:
-            with lock:
-                if errors or taken == count:
-                    return
-                i = taken
-                taken += 1
+        for i in range(j, len(blocks), _IN_FLIGHT):
+            if errors:
+                return
             try:
-                run(i)
+                block(i)
             except BaseException as exc:
                 errors.append(exc)
                 return
 
-    worker = threading.Thread(target=drain, name="bihm-blocks", daemon=True)
+    worker = threading.Thread(target=lane, args=(1,), name="bihm-blocks", daemon=True)
     worker.start()
     try:
-        drain()
+        lane(0)
     finally:
         _in_lane.busy = False
         worker.join()
@@ -419,38 +420,33 @@ def _blocked_rows(n: int, k: int, sample_floats: int, row_block, rng, cols=(), e
     """Row-wise :func:`_log_mean_se` of ``n`` rows of ``k`` log terms, tile by tile.
 
     A row of ``k`` samples holds ``k * sample_floats`` floats (the
-    estimators' samples hold their visible and latent bits), and the rows
-    come in :func:`_spans` of that, ``_IN_FLIGHT`` blocks to the budget; a
-    row's samples come in spans too: one tile ``(0, k)`` when a row fits a
-    block's share, and otherwise (each row then a block of its own) tiles
-    that each fit it.  ``row_block(start, stop, rng)`` sets up the rows of
-    one block and returns ``tile(m)``, which draws ``m`` more samples for
-    each of those rows from ``rng`` and returns their
-    ``(stop - start, *cols, m)`` log terms.  The tiles of a row fill its
-    columns of one ``(rows, *cols, k)`` array, so :func:`_log_mean_se` sees
-    whole rows.
+    estimators' samples hold their visible and latent bits), and its samples
+    come in :func:`_spans`: one tile ``(0, k)`` when a row fits a lane's
+    share of the budget, and otherwise tiles that each fit it.  The rows are
+    the items of :func:`_each_block`, each holding one tile's floats, so a
+    row of several tiles is a block of its own.  ``row_block(start, stop,
+    rng)`` sets up the rows of one block and returns ``tile(m)``, which
+    draws ``m`` more samples for each of those rows from ``rng`` and returns
+    their ``(stop - start, *cols, m)`` log terms.  The tiles of a row fill
+    its columns of one ``(rows, *cols, k)`` array, so :func:`_log_mean_se`
+    sees whole rows.
 
-    The blocks run through :func:`_each_block`, on up to two threads.  Block
-    ``i`` draws only from its stream of :func:`_block_streams`, and
-    ``row_block`` must use no other generator, so the result depends on the
-    seed and the budget, never on the threads or their timing.  Returns
-    ``(values, std_errors, ess)``, each of shape ``(n, *cols)``, or with
-    ``errors`` False the values alone.
+    ``row_block`` must draw from the block stream it is given and no other
+    generator, so the result depends on the seed and the budget, never on
+    the threads or their timing.  Returns ``(values, std_errors, ess)``,
+    each of shape ``(n, *cols)``, or with ``errors`` False the values alone.
     """
     tiles = _spans(k, sample_floats, _IN_FLIGHT)
-    blocks = _spans(n, k * sample_floats, _IN_FLIGHT)
-    stream = _block_streams(rng)
     out = np.empty((3 if errors else 1, n, *cols))
 
-    def run(i):
-        start, stop = blocks[i]
-        tile = row_block(start, stop, stream(i))
+    def run(lane, start, stop, rng):
+        tile = row_block(start, stop, rng)
         terms = np.empty((stop - start, *cols, k))
         for a, b in tiles:
             terms[..., a:b] = tile(b - a)
         out[:, start:stop] = _log_mean_se(terms, errors)
 
-    _each_block(len(blocks), run)
+    _each_block(n, tiles[0][1] * sample_floats, rng, run)
     return out if errors else out[0]
 
 

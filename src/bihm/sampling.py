@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from bihm.estimators import _IN_FLIGHT, _block_streams, _blocked_rows, _each_block, _spans
+from bihm.estimators import _blocked_rows, _each_block
 from bihm.model import (
     SIGMOID_EPS,
     BihmModel,
@@ -124,7 +124,9 @@ def _visible_log_terms(model, cand, h1, s, rng):
     :func:`bernoulli_step`'s clamped score up to rounding.  The chains are
     the rows of :func:`bihm.estimators._blocked_rows`, each sample holding
     its visible and latent floats and its P cross terms; each block of
-    chains draws its samples from its own spawned stream of ``rng``.
+    chains draws its samples from its own block stream of ``rng``, and
+    inside a chain block of a threaded loop its blocks run on that block's
+    thread.
     """
     c, p, _ = cand.shape
     L = model.num_latent_layers
@@ -222,52 +224,31 @@ def _sweep_chains(model, chains, config, rng, mask=None, observed=None) -> None:
         _update_chains(model, chains, l, config, rng, mask, observed)
 
 
-def _chain_blocks(count, item_floats):
-    """The ``(start, stop)`` chain blocks of :func:`_run_chains`, in order.
-
-    A chain holds ``item_floats`` candidate floats (proposals x widest
-    layer), and the blocks are :func:`bihm.estimators._spans` of chains cut
-    at ``1 / _IN_FLIGHT`` of the float budget, because that many run at
-    once; so the candidate arrays stay under the budget whatever the chain
-    count.  When at least ``_IN_FLIGHT`` chains fit one share, they are cut
-    into ``_IN_FLIGHT`` even blocks instead, one per lane, so few chains
-    still use both lanes.  The split depends on the count and the budget
-    only, never on the CPUs.
-    """
-    blocks = _spans(count, item_floats, _IN_FLIGHT)
-    if len(blocks) == 1 and count >= _IN_FLIGHT:
-        blocks = [(count * j // _IN_FLIGHT, count * (j + 1) // _IN_FLIGHT) for j in range(_IN_FLIGHT)]
-    return blocks
-
-
 def _run_chains(model, count, config, rng, init, mask=None, observed=None) -> list:
     """Sweep ``count`` chains block by block; returns ``[X, H1, ..., HL]``.
 
     ``init(rows, rng)`` draws the starting ``[X, H1, ..., HL]`` of a block
-    from ``rng``.  The blocks are :func:`_chain_blocks`.  They run through
-    :func:`bihm.estimators._each_block`, on up to two threads, each
-    running whole sweeps for its own chains, and the visible update's
-    shared ptilde samples are cut again within a block (see
+    from ``rng``.  The chains are the items of
+    :func:`bihm.estimators._each_block`, each holding its candidate floats
+    (proposals x widest layer), so the candidate arrays stay under the
+    float budget whatever the chain count, and a few chains still fill both
+    lanes.  A block runs whole sweeps for its own chains and draws, its
+    start included, only from its block stream; the visible update's shared
+    ptilde samples are cut again within a block (see
     :func:`_visible_log_terms`), a loop that runs on its block's thread.
-    Block ``i`` (its start included) draws only from its stream of
-    :func:`bihm.estimators._block_streams`, so the draws depend on the seed
-    and the split, never on the threads.  Each block is written into the
-    output arrays, allocated once, so the output is held once.
+    Each block is written into the output arrays, allocated once, so the
+    output is held once.
     """
     outs = [np.empty((count, d)) for d in model.layer_sizes]
-    blocks = _chain_blocks(count, config.proposals_per_step * max(model.layer_sizes))
-    stream = _block_streams(rng)
 
-    def run(i):
-        start, stop = blocks[i]
-        block_rng = stream(i)
-        chains = init(stop - start, block_rng)
+    def run(lane, start, stop, rng):
+        chains = init(stop - start, rng)
         for _ in range(config.num_sweeps):
-            _sweep_chains(model, chains, config, block_rng, mask=mask, observed=observed)
+            _sweep_chains(model, chains, config, rng, mask=mask, observed=observed)
         for out, block in zip(outs, chains):
             out[start:stop] = block
 
-    _each_block(len(blocks), run)
+    _each_block(count, config.proposals_per_step * max(model.layer_sizes), rng, run)
     return outs
 
 
@@ -279,7 +260,7 @@ def gibbs_sample_chains(
     All chains are initialized from model samples, drawn, like the sweeps,
     from the streams the chain blocks spawn from ``rng``; per-row draws are
     independent.  Two chains or more make two blocks at least, one per lane
-    (see :func:`_chain_blocks`), so a few chains use both cores too.  This
+    (see :func:`_run_chains`), so a few chains use both cores too.  This
     is the bulk path behind sample generation and the stationarity checks.
     """
     if count < 1:

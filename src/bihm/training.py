@@ -24,9 +24,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from bihm import estimators
-from bihm.estimators import _IN_FLIGHT, _block_streams, _each_block, _spans
-from bihm.estimators import ZEstimateConfig, est_log_z2, estimate_rows, log_weights
+from bihm.estimators import ZEstimateConfig, _each_block, est_log_z2, estimate_rows, log_weights
 from bihm.model import (
     BihmModel,
     ModelGradient,
@@ -124,38 +122,28 @@ def minibatch_gradient(
     log-weights ``(log p - log q) / 2``, and accumulate the weighted layer
     gradients of ``log p(x,h) + log q(h|x)``.  Batch axis is averaged.
 
-    Rows are drawn and weighed in blocks cut at ``_IN_FLIGHT`` shares of the
-    estimators' float budget (one row of ``k`` samples at least), so memory
-    follows that budget, not the batch size.  Block ``i`` draws only from
-    its stream of :func:`bihm.estimators._block_streams`.  When two rows'
-    samples fit the budget together, the blocks run in two lanes through
-    :func:`bihm.estimators._each_block`: lane ``j`` adds blocks ``j, j + 2,
-    ...`` in order into its own gradient, and the result is lane 0 plus
-    lane 1.  Otherwise one lane takes every block, so a row bigger than
-    half the budget is held alone.  Either way the result depends on the
-    seed and the budget, never on the threads or their timing.
+    Rows are drawn and weighed in the blocks of
+    :func:`bihm.estimators._each_block`, items of ``k`` samples each, so
+    memory follows the estimators' float budget, not the batch size.  Each
+    lane adds its blocks in order into its own gradient, and the result is
+    lane 0 plus lane 1, so it depends on the seed and the budget, never on
+    the threads or their timing.
     """
     if k < 1:
         raise ValueError("k must be positive")
     x = _checked_visible(model, batch, 2, "batch", binary=True)
-    sample_floats = k * sum(model.layer_sizes)
-    blocks = _spans(x.shape[0], sample_floats, _IN_FLIGHT)
-    stream = _block_streams(rng)
-    lanes = _IN_FLIGHT if _IN_FLIGHT * sample_floats <= estimators._BLOCK_FLOATS else 1
-    grads = [ModelGradient.zeros_for(model) for _ in range(min(lanes, len(blocks)))]
+    grads = [ModelGradient.zeros_for(model), ModelGradient.zeros_for(model)]  # one per lane
 
-    def lane(j):
-        for i in range(j, len(blocks), len(grads)):
-            rows = x[slice(*blocks[i])]
-            lw, p, q = log_weights(model, rows, k=k, rng=stream(i), keep_means=True)
-            w = np.exp(lw - lw.max(axis=1, keepdims=True))
-            w /= w.sum(axis=1, keepdims=True)
-            w /= x.shape[0]
-            weighted_gradient(model, grads[j], w, rows[:, None, :], q.layers, p.means, q.means)
+    def run(lane, start, stop, rng):
+        rows = x[start:stop]
+        lw, p, q = log_weights(model, rows, k=k, rng=rng, keep_means=True)
+        w = np.exp(lw - lw.max(axis=1, keepdims=True))
+        w /= w.sum(axis=1, keepdims=True)
+        w /= x.shape[0]
+        weighted_gradient(model, grads[lane], w, rows[:, None, :], q.layers, p.means, q.means)
 
-    _each_block(len(grads), lane)
-    for other in grads[1:]:
-        grads[0].params += other.params
+    _each_block(x.shape[0], k * sum(model.layer_sizes), rng, run)
+    grads[0].params += grads[1].params
     return grads[0]
 
 
@@ -244,6 +232,7 @@ def train(
     if valid is not None:
         valid = _checked_visible(model, valid, 2, "validation set", binary=True)
 
+    z_config = ZEstimateConfig(z_outer, 1)
     root = np.random.default_rng(config.seed)
     # One substream per purpose, split up front: reordering evaluation work
     # never perturbs the training sample stream.
@@ -272,7 +261,7 @@ def train(
             valid_ll = estimate_rows(model, valid, config.k_train, eval_rng)[0].mean()
         else:
             valid_ll = float("nan")
-        two_log_z = est_log_z2(model, ZEstimateConfig(z_outer, 1), eval_rng).value
+        two_log_z = est_log_z2(model, z_config, eval_rng).value
         metrics = {
             "epoch": epoch,
             "updates": updates,

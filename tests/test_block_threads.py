@@ -1,5 +1,6 @@
-"""The block loop of the estimators, of the gradient's lanes and of the Gibbs
-chain blocks: two blocks in flight, each on its own spawned stream.
+"""The package's one block loop, ``estimators._each_block``: the estimators'
+row blocks, the gradient's row blocks and the Gibbs chain blocks, cut by one
+rule into two lanes, each block on its own spawned stream.
 
 Every test runs its work under :func:`bounded`, so a deadlock fails the test
 instead of hanging the suite.  The worker thread is turned off by setting
@@ -64,15 +65,16 @@ def visible_log_terms():
 
 
 # Each returns a list of arrays.  With the budgets below every call but the
-# one-chain one cuts its work into several blocks: 13 floats per sample, so 3
-# rows of 20 samples to a 1000-float share; rows of 500 samples in tiles of
-# 76; 38 outer samples to a block; the visible update's 12 chains in 6 row
+# one-chain one cuts its work into several blocks, and runs them in two
+# lanes when two CPUs may: 13 floats per sample, so 3 rows of 20 samples to a
+# 1000-float share; rows of 500 samples in tiles of 76, one row to a block;
+# 38 outer samples to a block; the visible update's 12 chains in 6 row
 # blocks; chains of 5 proposals on 6 visibles, 30 floats each, 33 to a
-# 1000-float share, so 30 Gibbs chains run as two chain blocks of 15, one per
-# lane, whose visible updates run their row blocks nested on the lane's
-# thread, and 200 chains as 7 chain blocks of up to 33; one chain is one
-# block; and gradient rows of 10 samples, 130 floats, whose two lanes take 6
-# blocks of up to 7 rows at 2000 floats and 40 one-row blocks at 300.
+# 1000-float share, so 30 Gibbs chains run as two even chain blocks of 15,
+# one per lane, whose visible updates run their row blocks nested on the
+# lane's thread, and 200 chains as 7 chain blocks of up to 33; one chain is
+# one block; and gradient rows of 10 samples, 130 floats, in 6 blocks of up
+# to 7 rows at 2000 floats and 40 one-row blocks at 300.
 CALLS = {
     "rows": lambda: list(estimate_rows(MODEL, XS, 20, np.random.default_rng(142))),
     "tiled rows": lambda: list(estimate_rows(MODEL, XS[:5], 500, np.random.default_rng(143), squared=True)),
@@ -154,11 +156,8 @@ def test_nested_block_loops_stay_on_their_thread(monkeypatch):
     assert threading.active_count() == baseline
 
 
-@pytest.mark.parametrize("name, workers", [("one chain", 0), ("gibbs", 1), ("inpaint", 1)])
-def test_few_chains_start_one_worker_at_most(monkeypatch, name, workers):
-    # One chain is one block, run on the calling thread with its nested
-    # loops.  Two lanes' worth of chains start the worker once, for the
-    # chain blocks; the visible updates' row loops inside them start none.
+def started_workers(monkeypatch):
+    """A list that records each block-loop worker started from now on."""
     started = []
 
     class Recording(threading.Thread):
@@ -168,26 +167,60 @@ def test_few_chains_start_one_worker_at_most(monkeypatch, name, workers):
             super().start()
 
     monkeypatch.setattr(threading, "Thread", Recording)
+    return started
+
+
+@pytest.mark.parametrize("name, workers", [("one chain", 0), ("gibbs", 1), ("inpaint", 1)])
+def test_few_chains_start_one_worker_at_most(monkeypatch, name, workers):
+    # One chain is one block, run on the calling thread with its nested
+    # loops.  Two lanes' worth of chains start the worker once, for the
+    # chain blocks; the visible updates' row loops inside them start none.
+    started = started_workers(monkeypatch)
     run_with(monkeypatch, 2, 2000, CALLS[name])
     assert len(started) == workers
 
 
+# Loops whose items do not fit the budget two at a time, each with its
+# budget: gradient rows of 10 samples, 130 floats, at 130; and 7 Gibbs
+# chains of 30 candidate floats at 59, one chain to a block, whose visible
+# updates are loops of one chain, so of one block.
+ONE_LANE = {
+    "gradient rows": (10 * sum(MODEL.layer_sizes), CALLS["gradient"]),
+    "gibbs chains": (2 * 30 - 1, lambda: gibbs_sample_chains(MODEL, 7, GIBBS, np.random.default_rng(152))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_LANE))
+def test_items_over_half_the_budget_run_on_the_calling_thread(monkeypatch, name):
+    budget, call = ONE_LANE[name]
+    started = started_workers(monkeypatch)
+    alone = run_with(monkeypatch, 1, budget, call)
+    assert_same(run_with(monkeypatch, 2, budget, call), alone)
+    assert started == []
+
+
+def half_the_budget():
+    """Floats of an item that is a block of its own and still runs in two lanes."""
+    return estimators._BLOCK_FLOATS // estimators._IN_FLIGHT
+
+
 def test_both_threads_take_blocks(monkeypatch):
-    # Blocks 0 and 1 wait for each other, so they can only finish if two
-    # threads run them at once.
+    # Blocks 0 and 1, one in each lane, wait for each other, so they can
+    # only finish if two threads run them at once.
     monkeypatch.setattr(estimators, "_CPUS", 2)
     baseline = threading.active_count()
     both = threading.Barrier(2, timeout=10)
-    threads = []
+    ran = []
 
-    def run(i):
-        if i < 2:
+    def run(lane, start, stop, rng):
+        if start < 2:
             both.wait()
-        threads.append(threading.get_ident())
+        ran.append((lane, threading.get_ident()))
 
-    bounded(lambda: estimators._each_block(6, run))
-    assert len(threads) == 6
-    assert len(set(threads)) == 2
+    bounded(lambda: estimators._each_block(6, half_the_budget(), np.random.default_rng(0), run))
+    # Six blocks, and each lane on a thread of its own.
+    assert len(ran) == 6
+    assert len(set(ran)) == 2 and len({thread for _, thread in ran}) == 2
     assert threading.active_count() == baseline
 
 
@@ -215,13 +248,15 @@ def test_worker_runs_only_when_blas_is_pinned(blas_env, pinned):
 def test_one_cpu_runs_every_block_on_the_calling_thread(monkeypatch):
     monkeypatch.setattr(estimators, "_CPUS", 1)
     baseline = threading.active_count()
-    threads, counts = [], []
+    blocks, threads, counts = [], [], []
 
-    def run(i):
+    def run(lane, start, stop, rng):
+        blocks.append((lane, start, stop))
         threads.append(threading.get_ident())
         counts.append(threading.active_count())
 
-    estimators._each_block(6, run)
+    estimators._each_block(6, half_the_budget(), np.random.default_rng(0), run)
+    assert blocks == [(i % 2, i, i + 1) for i in range(6)]
     assert threads == [threading.get_ident()] * 6
     assert counts == [baseline] * 6
 
@@ -254,10 +289,10 @@ def test_error_on_the_worker_is_raised_in_the_caller(monkeypatch):
     both = threading.Barrier(2, timeout=10)
     caller, ran = [], []
 
-    def run(i):
-        if i < 2:
+    def run(lane, start, stop, rng):
+        if start < 2:
             both.wait()
-        ran.append(i)
+        ran.append(start)
         if threading.get_ident() != caller[0]:
             raise ValueError("worker failed")
         # A block that takes a while, as real ones do, so the worker's
@@ -266,7 +301,7 @@ def test_error_on_the_worker_is_raised_in_the_caller(monkeypatch):
 
     def call():
         caller.append(threading.get_ident())
-        estimators._each_block(50, run)
+        estimators._each_block(50, half_the_budget(), np.random.default_rng(0), run)
 
     with pytest.raises(ValueError, match="worker failed"):
         bounded(call)

@@ -1,6 +1,7 @@
-"""The package namespace re-exports each module's public names once, and
-importing it loads no scipy."""
+"""The package namespace re-exports each module's public names once,
+importing it loads no scipy, and one function owns the block loop."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -26,3 +27,25 @@ def test_import_loads_no_scipy():
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
     assert out.stdout == "[]\n"
+
+
+def test_only_the_block_loop_starts_threads_or_builds_seed_sequences():
+    # How a parallel loop is cut, seeded and scheduled is decided in one
+    # place, estimators._each_block: no other code of the package starts a
+    # thread or builds a generator's seed sequence.
+    src = os.path.dirname(bihm.__file__)
+    found = []
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(src, name)) as f:
+            tree = ast.parse(f.read(), name)
+        for top in tree.body:
+            owner = f"{name[:-3]}.{getattr(top, 'name', '')}"
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                    if called in ("Thread", "SeedSequence"):
+                        found.append((owner, called))
+    assert sorted(found) == [("estimators._each_block", "SeedSequence"), ("estimators._each_block", "Thread")]

@@ -21,7 +21,6 @@ from bihm.oracle import exact_conditional_pstar, exact_log_ptilde
 from bihm.sampling import (
     GibbsConfig,
     _categorical_rows,
-    _chain_blocks,
     _update_chains,
     _visible_log_terms,
     expected_visible,
@@ -228,7 +227,8 @@ class TestChainStationarity:
 
 
 class TestChainBlocks:
-    """How :func:`bihm.sampling._run_chains` cuts its chains into blocks."""
+    """How :func:`bihm.estimators._each_block` cuts the chains of
+    :func:`bihm.sampling._run_chains`, and every other loop, into blocks."""
 
     # 30 candidate floats per chain at a 2000-float budget: 33 chains to a
     # lane's share, so counts up to 33 fit one share and 200 does not.
@@ -239,13 +239,16 @@ class TestChainBlocks:
         splits = []
         for cpus in (1, 2):
             monkeypatch.setattr(estimators, "_CPUS", cpus)
-            splits.append(_chain_blocks(count, 30))
+            ran = []
+            estimators._each_block(count, 30, np.random.default_rng(0), lambda *block: ran.append(block[:3]))
+            splits.append(sorted(ran, key=lambda block: block[1]))
         blocks = splits[0]
         assert splits[1] == blocks
-        assert [i for a, b in blocks for i in range(a, b)] == list(range(count))
-        assert all(a < b for a, b in blocks)
+        assert [i for _, a, b in blocks for i in range(a, b)] == list(range(count))
+        assert all(a < b for _, a, b in blocks)
         assert len(blocks) >= min(count, estimators._IN_FLIGHT)
-        assert max(b - a for a, b in blocks) <= share
+        assert max(b - a for _, a, b in blocks) <= share
+        assert [lane for lane, _, _ in blocks] == [i % estimators._IN_FLIGHT for i in range(len(blocks))]
 
 
 class TestSharedPtilde:

@@ -48,6 +48,18 @@ def flatten_gradient(grad):
     return np.concatenate([a.ravel() for _, a in grad.param_items()])
 
 
+def block_layers(model, batch, k, seed):
+    """The q samples ``minibatch_gradient`` draws for a batch whose rows fit one share.
+
+    Its rows are cut into two even blocks, and block ``i`` draws from child
+    ``i`` of the generator's first spawned child.
+    """
+    n = batch.shape[0]
+    streams = np.random.default_rng(seed).spawn(1)[0].spawn(2)
+    parts = [sample_q_rows(model, batch[a:b], k, s) for (a, b), s in zip([(0, n // 2), (n // 2, n)], streams)]
+    return [np.concatenate(layer) for layer in zip(*parts)]
+
+
 def layer_gradient(layer, v, t):
     """Gradient of one layer's ``log p(t | v)`` for single vectors: ``((t - mu) v^T, t - mu)``."""
     delta = t - sigmoid(layer.activation(v))
@@ -116,9 +128,7 @@ class TestMinibatchGradient:
         batch = (np.random.default_rng(71).random((3, 3)) < 0.5).astype(np.float64)
         grad = minibatch_gradient(model, batch, 4, np.random.default_rng(72))
 
-        # The three rows are one block, block 0, which draws from child 0 of
-        # the generator's first spawned child.
-        layers = sample_q_rows(model, batch, 4, np.random.default_rng(72).spawn(1)[0].spawn(1)[0])
+        layers = block_layers(model, batch, 4, 72)
         expected = {name: np.zeros_like(a) for name, a in model.param_items()}
         b = batch.shape[0]
         for i in range(b):
@@ -156,7 +166,7 @@ class TestMinibatchGradient:
         model = zero_model([3, 2])
         batch = np.array([[1.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
         grad = minibatch_gradient(model, batch, 1, np.random.default_rng(73))
-        layers = sample_q_rows(model, batch, 1, np.random.default_rng(73).spawn(1)[0].spawn(1)[0])
+        layers = block_layers(model, batch, 1, 73)
         expected_prior = (layers[0][:, 0] - 0.5).mean(axis=0)
         assert np.all(np.abs(dict(grad.param_items())["prior.biases"] - expected_prior) < 1e-12)
 
@@ -166,7 +176,7 @@ class TestMinibatchGradient:
         model = zero_model([4, 3])
         batch = (np.random.default_rng(74).random((5, 4)) < 0.5).astype(np.float64)
         grad = minibatch_gradient(model, batch, 6, np.random.default_rng(75))
-        layers = sample_q_rows(model, batch, 6, np.random.default_rng(75).spawn(1)[0].spawn(1)[0])
+        layers = block_layers(model, batch, 6, 75)
         expected = (layers[0] - 0.5).mean(axis=(0, 1))
         assert np.all(np.abs(dict(grad.param_items())["prior.biases"] - expected) < 1e-12)
 
@@ -189,10 +199,11 @@ class TestMinibatchGradient:
         k = 7
         monkeypatch.setattr(estimators, "_BLOCK_FLOATS", k * sum(model.layer_sizes))
         grad = minibatch_gradient(model, batch, k, np.random.default_rng(80))
-        stream = estimators._block_streams(np.random.default_rng(80))
+        streams = np.random.default_rng(80).spawn(1)[0].spawn(batch.shape[0])
         rows = []
-        for i, row in enumerate(batch):
-            monkeypatch.setattr(training, "_block_streams", lambda rng: lambda j: stream(i))
+        for row, stream in zip(batch, streams):
+            one_block = lambda n, item_floats, rng, run, stream=stream: run(0, 0, n, stream)
+            monkeypatch.setattr(training, "_each_block", one_block)
             rows.append(minibatch_gradient(model, row[None], k, None).params)
         assert np.all(np.abs(grad.params - np.mean(rows, axis=0)) < 1e-12)
 
@@ -440,6 +451,14 @@ class TestTrain:
         config = TrainConfig(k_train=3, batch_size=25, epochs=1, seed=9, learning_rate=float("inf"))
         with pytest.raises(TrainingDiverged, match=r"epoch 1, update 1"):
             train(model, self.small_data(), config, z_outer=10)
+
+    def test_bad_z_outer_is_rejected_before_any_update(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(training, "minibatch_gradient", lambda *args: calls.append(args))
+        config = TrainConfig(k_train=3, batch_size=25, epochs=1, seed=1)
+        with pytest.raises(ValueError, match="k_outer and k_inner must be positive"):
+            train(init_model((4, 3), seed=0), self.small_data(), config, z_outer=0)
+        assert calls == []
 
     def test_dataset_validation(self):
         model = init_model((4, 3), seed=0)
