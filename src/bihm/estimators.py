@@ -28,11 +28,11 @@ gradient's rows and the Gibbs chains.  It cuts every loop by one rule, gives
 block ``i`` its own generator, spawned from the caller's when the block
 starts, and puts block ``i`` in lane ``i % 2``.  Lane 1 runs on one worker
 thread when the process may use two CPUs, BLAS is pinned to one thread, the
-loop has two blocks or more, two of its items fit the float budget together
-and it is not nested in a block of a threaded loop; otherwise every block
-runs on the calling thread, so at most two threads run.  The budget covers
-both blocks in flight, and a fixed seed and budget give the same output on
-any machine.
+loop has two blocks or more and two of its items fit the float budget
+together; otherwise every block runs on the calling thread.  No block loop
+starts inside a block, so at most two threads run.  The budget covers both
+blocks in flight, and a fixed seed and budget give the same output on any
+machine.
 """
 
 from __future__ import annotations
@@ -70,11 +70,10 @@ __all__ = [
 # visible update's shared ptilde samples (chains x samples x (visible + latent
 # bits + proposals)).  Each loop cuts its work with :func:`_spans`; the loops
 # of :func:`_each_block`, whose blocks run ``_IN_FLIGHT`` at a time, cut at
-# that share of the budget, so it covers both blocks in flight.  A loop
-# nested in a block of a threaded loop (the visible update's row blocks
-# inside a chain block) runs its blocks one at a time on that block's
-# thread, so two of its blocks are in flight at most, one per thread, as in
-# a loop of its own.  A block's real peak is about 5.5-6x its share, not 1x:
+# that share of the budget, so it covers both blocks in flight.  The visible
+# update's spans run one at a time on their chain block's thread and cut at
+# the same share, so they stay within that block's share.  A block's real
+# peak is about 5.5-6x its share, not 1x:
 # the two passes keep their means, their score buffers and the drawn layers
 # alive at once, and the gradient adds its deltas.
 _BLOCK_FLOATS = 2**18
@@ -106,11 +105,6 @@ def _spans(n: int, item_floats: int, in_flight: int = 1) -> list:
     return [(a, min(a + step, n)) for a in range(0, n, step)]
 
 
-# Set on both threads of a threaded :func:`_each_block` while they run
-# blocks: a block loop that starts inside one of them runs on its thread.
-_in_lane = threading.local()
-
-
 def _each_block(n: int, item_floats: int, rng, run) -> None:
     """Call ``run(lane, start, stop, block_rng)`` for blocks that cover ``range(n)``.
 
@@ -127,10 +121,10 @@ def _each_block(n: int, item_floats: int, rng, run) -> None:
       generators grows with the block count.
     - Lanes: block ``i`` belongs to lane ``i % _IN_FLIGHT``, and each lane
       runs its blocks in order.  Lane 1 runs on one worker thread when
-      there are two CPUs, two blocks or more, two items fit the budget
-      together, and the loop is not nested in a block of a threaded loop;
-      otherwise every block runs in order on the calling thread.  So no
-      more than two threads ever run.
+      there are two CPUs, two blocks or more and two items fit the budget
+      together; otherwise every block runs in order on the calling thread.
+      No ``run`` starts a block loop of its own, so no more than two
+      threads ever run.
 
     The cut, the streams and the lanes depend on ``n``, ``item_floats`` and
     the budget only, so the output depends on the seed and the budget, never
@@ -147,14 +141,13 @@ def _each_block(n: int, item_floats: int, rng, run) -> None:
         run(i % _IN_FLIGHT, *blocks[i], block_rng)
 
     threaded = _CPUS >= 2 and len(blocks) >= 2 and _IN_FLIGHT * item_floats <= _BLOCK_FLOATS
-    if not threaded or getattr(_in_lane, "busy", False):
+    if not threaded:
         for i in range(len(blocks)):
             block(i)
         return
     errors = []
 
     def lane(j):
-        _in_lane.busy = True
         for i in range(j, len(blocks), _IN_FLIGHT):
             if errors:
                 return
@@ -169,7 +162,6 @@ def _each_block(n: int, item_floats: int, rng, run) -> None:
     try:
         lane(0)
     finally:
-        _in_lane.busy = False
         worker.join()
     if errors:
         raise errors[0]
@@ -257,7 +249,7 @@ def _logsumexp(a: np.ndarray):
     return m + np.log(_row_sums(np.exp(a - m[..., None])))
 
 
-def _log_mean_se(log_terms: np.ndarray, errors=True):
+def _log_mean_se(log_terms: np.ndarray):
     """Log of the mean of ``exp(log_terms)`` over the last axis, with SE and ESS.
 
     Each row is shifted by its own maximum.  The delta-method SE of the log
@@ -265,10 +257,9 @@ def _log_mean_se(log_terms: np.ndarray, errors=True):
     shifted terms ``u``, which is invariant to the shift; the effective
     sample size is ``(sum u)^2 / sum u^2``; the sums are GEMVs
     (:func:`bihm.model._row_sums`).  Returns three arrays of the
-    leading shape, or with ``errors`` False the log-means alone, as a
-    one-tuple, without computing the SE and ESS.  The one temporary of the
-    shape of ``log_terms`` holds ``u``, then its deviations from the mean,
-    as ``numpy.std`` computes them.
+    leading shape.  The one temporary of the shape of ``log_terms`` holds
+    ``u``, then its deviations from the mean, as ``numpy.std`` computes
+    them.
     """
     k = log_terms.shape[-1]
     m = log_terms.max(axis=-1, keepdims=True)
@@ -277,8 +268,6 @@ def _log_mean_se(log_terms: np.ndarray, errors=True):
     total = _row_sums(u)
     mean_u = total / k
     values = m[..., 0] + np.log(mean_u)
-    if not errors:
-        return (values,)
     ess_rows = total * total / np.einsum("...k,...k->...", u, u)
     if k < 2:
         ses = np.zeros_like(values)
@@ -416,7 +405,7 @@ def est_log_pstar(model: BihmModel, x, k: int, log_z2, rng: np.random.Generator)
 # ---------------------------------------------------------------------------
 
 
-def _blocked_rows(n: int, k: int, sample_floats: int, row_block, rng, cols=(), errors=True):
+def _blocked_rows(n: int, k: int, sample_floats: int, row_block, rng):
     """Row-wise :func:`_log_mean_se` of ``n`` rows of ``k`` log terms, tile by tile.
 
     A row of ``k`` samples holds ``k * sample_floats`` floats (the
@@ -427,27 +416,27 @@ def _blocked_rows(n: int, k: int, sample_floats: int, row_block, rng, cols=(), e
     row of several tiles is a block of its own.  ``row_block(start, stop,
     rng)`` sets up the rows of one block and returns ``tile(m)``, which
     draws ``m`` more samples for each of those rows from ``rng`` and returns
-    their ``(stop - start, *cols, m)`` log terms.  The tiles of a row fill
-    its columns of one ``(rows, *cols, k)`` array, so :func:`_log_mean_se`
-    sees whole rows.
+    their ``(stop - start, m)`` log terms.  The tiles of a row fill its
+    columns of one ``(rows, k)`` array, so :func:`_log_mean_se` sees whole
+    rows.
 
     ``row_block`` must draw from the block stream it is given and no other
-    generator, so the result depends on the seed and the budget, never on
-    the threads or their timing.  Returns ``(values, std_errors, ess)``,
-    each of shape ``(n, *cols)``, or with ``errors`` False the values alone.
+    generator, and start no block loop, so the result depends on the seed
+    and the budget, never on the threads or their timing.  Returns one
+    ``(3, n)`` array: the values, standard errors and ESS.
     """
     tiles = _spans(k, sample_floats, _IN_FLIGHT)
-    out = np.empty((3 if errors else 1, n, *cols))
+    out = np.empty((3, n))
 
     def run(lane, start, stop, rng):
         tile = row_block(start, stop, rng)
-        terms = np.empty((stop - start, *cols, k))
+        terms = np.empty((stop - start, k))
         for a, b in tiles:
-            terms[..., a:b] = tile(b - a)
-        out[:, start:stop] = _log_mean_se(terms, errors)
+            terms[:, a:b] = tile(b - a)
+        out[:, start:stop] = _log_mean_se(terms)
 
     _each_block(n, tiles[0][1] * sample_floats, rng, run)
-    return out if errors else out[0]
+    return out
 
 
 def estimate_rows(model: BihmModel, xs, k: int, rng, squared=False):

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from bihm.estimators import _blocked_rows, _each_block
+from bihm.estimators import _IN_FLIGHT, _each_block, _logsumexp, _spans
 from bihm.model import (
     SIGMOID_EPS,
     BihmModel,
@@ -121,12 +121,15 @@ def _visible_log_terms(model, cand, h1, s, rng):
     ``log p(x_j | h_1)`` and ``log q(h_1 | x_j)`` for every candidate and
     sample, are one batched matmul each on clipped logits ``l``: a 0/1
     target ``t`` scores ``t . l + sum log(1 - sigmoid(l))``, which is
-    :func:`bernoulli_step`'s clamped score up to rounding.  The chains are
-    the rows of :func:`bihm.estimators._blocked_rows`, each sample holding
-    its visible and latent floats and its P cross terms; each block of
-    chains draws its samples from its own block stream of ``rng``, and
-    inside a chain block of a threaded loop its blocks run on that block's
-    thread.
+    :func:`bernoulli_step`'s clamped score up to rounding.
+
+    Each sample holds its visible and latent floats and its P cross terms.
+    The chains come in :func:`bihm.estimators._spans` at a lane's share of
+    the budget, as the blocks of :func:`bihm.estimators._each_block` do, and
+    a chain whose ``s`` samples exceed that share draws them in sample tiles
+    that each fit it.  The spans run one after another on the calling
+    thread, a chain block's, and draw only from ``rng``, that block's
+    stream; each span's temporaries are freed before the next is drawn.
     """
     c, p, _ = cand.shape
     L = model.num_latent_layers
@@ -134,8 +137,10 @@ def _visible_log_terms(model, cand, h1, s, rng):
     np.clip(lq, -_LOGIT_CLIP, _LOGIT_CLIP, out=lq)
     mu_q = sigmoid(lq)
     lq_norm = _log1m_sum(lq.copy())
+    sample_floats = sum(model.layer_sizes) + p
+    tiles = _spans(s, sample_floats, _IN_FLIGHT)
 
-    def row_block(start, stop, rng):
+    def span(start, stop):
         x, mu_x = cand[start:stop], mu_q[start:stop]
         lq_x, lq_norm_x = lq[start:stop], lq_norm[start:stop, :, None]
         rows = np.arange(stop - start)[:, None]
@@ -167,11 +172,14 @@ def _visible_log_terms(model, cand, h1, s, rng):
             terms *= 0.5
             return terms
 
-        return tile
+        terms = np.empty((stop - start, p, s))
+        for a, b in tiles:
+            terms[..., a:b] = tile(b - a)
+        return _logsumexp(terms) - np.log(s)
 
-    sample_floats = sum(model.layer_sizes) + p
-    lpt = 2.0 * _blocked_rows(c, s, sample_floats, row_block, rng, (p,), errors=False)
-    return np.matmul(lq, h1[:, :, None])[..., 0] + lq_norm, lpt
+    spans = _spans(c, tiles[0][1] * sample_floats, _IN_FLIGHT)
+    lpt = np.concatenate([span(start, stop) for start, stop in spans])
+    return np.matmul(lq, h1[:, :, None])[..., 0] + lq_norm, 2.0 * lpt
 
 
 def _update_chains(model, chains, l, config, rng, mask=None, observed=None) -> None:
@@ -233,11 +241,11 @@ def _run_chains(model, count, config, rng, init, mask=None, observed=None) -> li
     (proposals x widest layer), so the candidate arrays stay under the
     float budget whatever the chain count, and a few chains still fill both
     lanes.  A block runs whole sweeps for its own chains and draws, its
-    start included, only from its block stream; the visible update's shared
-    ptilde samples are cut again within a block (see
-    :func:`_visible_log_terms`), a loop that runs on its block's thread.
-    Each block is written into the output arrays, allocated once, so the
-    output is held once.
+    start included, only from its block stream; the visible update cuts
+    the block's shared ptilde samples into spans that run on the block's
+    thread and stream (see :func:`_visible_log_terms`), and starts no block
+    loop.  Each block is written into the output arrays, allocated once, so
+    the output is held once.
     """
     outs = [np.empty((count, d)) for d in model.layer_sizes]
 

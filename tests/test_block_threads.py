@@ -7,6 +7,7 @@ instead of hanging the suite.  The worker thread is turned off by setting
 ``estimators._CPUS`` to 1, and forced on (whatever the machine) with 2.
 """
 
+import functools
 import os
 import subprocess
 import sys
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from bihm import estimators, sampling
+from bihm import estimators, sampling, training
 from bihm.estimators import ZEstimateConfig, est_log_z2, estimate_rows
 from bihm.model import random_model
 from bihm.sampling import GibbsConfig, gibbs_sample_chains, inpaint_chains
@@ -55,26 +56,27 @@ def log_z2():
 
 
 def visible_log_terms():
-    # 12 chains of 5 candidates, 20 shared samples of 18 floats each (13 bits
-    # and 5 cross terms): 2 chains to a 1000-float share, so 6 row blocks of
-    # the visible update's own loop, with nothing around it.
+    # 6 chains of 5 candidates, 80 shared samples of 18 floats each (13 bits
+    # and 5 cross terms): tiles of 55 and 25 samples to a 1000-float share,
+    # so 6 spans of one chain, two tiles each, with no chain block around them.
     rng = np.random.default_rng(150)
-    cand = (rng.random((12, 5, 6)) < 0.5).astype(np.float64)
-    h1 = (rng.random((12, 4)) < 0.5).astype(np.float64)
-    return list(sampling._visible_log_terms(MODEL, cand, h1, 20, rng))
+    cand = (rng.random((6, 5, 6)) < 0.5).astype(np.float64)
+    h1 = (rng.random((6, 4)) < 0.5).astype(np.float64)
+    return list(sampling._visible_log_terms(MODEL, cand, h1, 80, rng))
 
 
 # Each returns a list of arrays.  With the budgets below every call but the
-# one-chain one cuts its work into several blocks, and runs them in two
-# lanes when two CPUs may: 13 floats per sample, so 3 rows of 20 samples to a
-# 1000-float share; rows of 500 samples in tiles of 76, one row to a block;
-# 38 outer samples to a block; the visible update's 12 chains in 6 row
-# blocks; chains of 5 proposals on 6 visibles, 30 floats each, 33 to a
-# 1000-float share, so 30 Gibbs chains run as two even chain blocks of 15,
-# one per lane, whose visible updates run their row blocks nested on the
-# lane's thread, and 200 chains as 7 chain blocks of up to 33; one chain is
-# one block; and gradient rows of 10 samples, 130 floats, in 6 blocks of up
-# to 7 rows at 2000 floats and 40 one-row blocks at 300.
+# one-chain one cuts its work into several blocks or spans, and the block
+# loops run their blocks in two lanes when two CPUs may: 13 floats per
+# sample, so 3 rows of 20 samples to a 1000-float share; rows of 500 samples
+# in tiles of 76, one row to a block; 38 outer samples to a block; the
+# visible update's 6 chains in 6 spans of two sample tiles, all on the
+# calling thread; chains of 5 proposals on 6 visibles, 30 floats each, 33 to
+# a 1000-float share, so 30 Gibbs chains run as two even chain blocks of 15,
+# one per lane, whose visible updates run their spans on the block's thread
+# and stream, and 200 chains as 7 chain blocks of up to 33; one chain is one
+# block; and gradient rows of 10 samples, 130 floats, in 6 blocks of up to 7
+# rows at 2000 floats and 40 one-row blocks at 300.
 CALLS = {
     "rows": lambda: list(estimate_rows(MODEL, XS, 20, np.random.default_rng(142))),
     "tiled rows": lambda: list(estimate_rows(MODEL, XS[:5], 500, np.random.default_rng(143), squared=True)),
@@ -124,36 +126,45 @@ def test_identical_under_constant_thread_switching(monkeypatch):
         assert_same(a, b)
 
 
-def test_nested_block_loops_stay_on_their_thread(monkeypatch):
-    # Every block of a visible update's row loop runs on the thread of the
-    # chain block that called it, so no more than two threads ever run.
-    original = sampling._blocked_rows
-    lock = threading.Lock()
-    seen = []
+def test_no_block_loop_runs_inside_a_block(monkeypatch):
+    # Each block loop's depth is one more than that of the block it starts
+    # in, on whichever thread that block runs; every loop starts outside any
+    # block, so no more than the caller and one worker ever run.
+    original = estimators._each_block
+    inside = threading.local()
+    depths, counts = [], []
 
-    def recording(n, k, sample_floats, row_block, rng, *args, **kwargs):
-        caller = threading.get_ident()
+    def counting(n, item_floats, rng, run):
+        depth = getattr(inside, "depth", 0) + 1
+        depths.append(depth)
 
-        def recorded(start, stop, rng):
-            with lock:
-                seen.append((caller, threading.get_ident(), threading.active_count()))
-            return row_block(start, stop, rng)
+        def block(*args):
+            outer = getattr(inside, "depth", 0)
+            inside.depth = depth
+            counts.append(threading.active_count())
+            try:
+                run(*args)
+            finally:
+                inside.depth = outer
 
-        return original(n, k, sample_floats, recorded, rng, *args, **kwargs)
+        original(n, item_floats, rng, block)
 
-    def call():
+    def measured(call):
         started = threading.active_count()
-        CALLS["gibbs chain blocks"]()
+        call()
         return started
 
-    monkeypatch.setattr(sampling, "_blocked_rows", recording)
-    baseline = threading.active_count()
-    started = run_with(monkeypatch, 2, 2000, call)
-    assert len(seen) > 7
-    assert all(caller == inner for caller, inner, _ in seen)
-    assert len({inner for _, inner, _ in seen}) <= 2
-    assert max(count for _, _, count in seen) <= started + 1
-    assert threading.active_count() == baseline
+    for module in (estimators, sampling, training):
+        monkeypatch.setattr(module, "_each_block", counting)
+    deepest = {}
+    for name, call in CALLS.items():
+        depths.clear()
+        counts.clear()
+        started = run_with(monkeypatch, 2, 2000, functools.partial(measured, call))
+        deepest[name] = max(depths, default=0)
+        assert max(counts, default=started) <= started + 1, name
+    # The visible update alone starts no block loop at all.
+    assert deepest == {name: 0 if name == "visible log terms" else 1 for name in CALLS}
 
 
 def started_workers(monkeypatch):
@@ -172,9 +183,9 @@ def started_workers(monkeypatch):
 
 @pytest.mark.parametrize("name, workers", [("one chain", 0), ("gibbs", 1), ("inpaint", 1)])
 def test_few_chains_start_one_worker_at_most(monkeypatch, name, workers):
-    # One chain is one block, run on the calling thread with its nested
-    # loops.  Two lanes' worth of chains start the worker once, for the
-    # chain blocks; the visible updates' row loops inside them start none.
+    # One chain is one block, run on the calling thread.  Two lanes' worth
+    # of chains start the worker once, for the chain blocks; the visible
+    # updates' spans inside them start none.
     started = started_workers(monkeypatch)
     run_with(monkeypatch, 2, 2000, CALLS[name])
     assert len(started) == workers
@@ -182,8 +193,7 @@ def test_few_chains_start_one_worker_at_most(monkeypatch, name, workers):
 
 # Loops whose items do not fit the budget two at a time, each with its
 # budget: gradient rows of 10 samples, 130 floats, at 130; and 7 Gibbs
-# chains of 30 candidate floats at 59, one chain to a block, whose visible
-# updates are loops of one chain, so of one block.
+# chains of 30 candidate floats at 59, one chain to a block.
 ONE_LANE = {
     "gradient rows": (10 * sum(MODEL.layer_sizes), CALLS["gradient"]),
     "gibbs chains": (2 * 30 - 1, lambda: gibbs_sample_chains(MODEL, 7, GIBBS, np.random.default_rng(152))),

@@ -202,23 +202,26 @@ class TestChainStationarity:
             gibbs_sample_chains(model, 0, config, np.random.default_rng(0))
 
     @pytest.mark.parametrize(
-        "sizes, config",
+        "sizes, config, budget, count",
         [
-            ([20, 10, 5], GibbsConfig(1, 5)),
+            pytest.param([20, 10, 5], GibbsConfig(1, 5), 2**12, 8000, id="sizes0-config0"),
             # 10 proposals on narrow layers: the visible update's (chains,
             # proposals, shared samples) cross terms dominate a block's
             # work, so this case fails unless the shared ptilde estimate
-            # cuts its chains into blocks of its own.
-            ([8, 5, 4], GibbsConfig(1, 10)),
+            # cuts its chains into spans of its own.
+            pytest.param([8, 5, 4], GibbsConfig(1, 10), 2**12, 8000, id="sizes1-config1"),
+            # The same at half the budget: a chain's 40 shared samples of 27
+            # floats, 1080, exceed a lane's 1024-float share, so they are
+            # drawn in sample tiles, each chain a span of its own.
+            pytest.param([8, 5, 4], GibbsConfig(1, 10), 2**11, 2000, id="sample tiles"),
         ],
     )
-    def test_peak_memory_holds_the_output_once(self, monkeypatch, sizes, config):
-        budget = 2**12
+    def test_peak_memory_holds_the_output_once(self, monkeypatch, sizes, config, budget, count):
         monkeypatch.setattr(estimators, "_BLOCK_FLOATS", budget)
         model = random_model(sizes, np.random.default_rng(129))
         tracemalloc.start()
         try:
-            chains = gibbs_sample_chains(model, 8000, config, np.random.default_rng(130))
+            chains = gibbs_sample_chains(model, count, config, np.random.default_rng(130))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
