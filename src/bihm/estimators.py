@@ -24,15 +24,9 @@ has expectation exactly ``Z^2``.
 
 Rows (and outer samples) are independent, so they are scored in blocks by
 the package's one block loop, ``_each_block``, which also runs the training
-gradient's rows and the Gibbs chains.  It cuts every loop by one rule, gives
-block ``i`` its own generator, spawned from the caller's when the block
-starts, and puts block ``i`` in lane ``i % 2``.  Lane 1 runs on one worker
-thread when the process may use two CPUs, BLAS is pinned to one thread, the
-loop has two blocks or more and two of its items fit the float budget
-together; otherwise every block runs on the calling thread.  No block loop
-starts inside a block, so at most two threads run.  The budget covers both
-blocks in flight, and a fixed seed and budget give the same output on any
-machine.
+gradient's rows and the Gibbs chains; its docstring states how a loop is
+cut, seeded and scheduled.  A row's samples are drawn in tiles by
+``_tiled``, which also fills the Gibbs visible update's shared samples.
 """
 
 from __future__ import annotations
@@ -405,6 +399,19 @@ def est_log_pstar(model: BihmModel, x, k: int, log_z2, rng: np.random.Generator)
 # ---------------------------------------------------------------------------
 
 
+def _tiled(shape, tiles, tile) -> np.ndarray:
+    """A new ``shape`` array whose slice ``[..., a:b]`` is ``tile(b - a)``, tile by tile.
+
+    ``tiles`` holds the ``(a, b)`` ranges of the last axis, in order, as
+    :func:`_spans` cuts it; each tile's arrays are freed before the next is
+    drawn.
+    """
+    out = np.empty(shape)
+    for a, b in tiles:
+        out[..., a:b] = tile(b - a)
+    return out
+
+
 def _blocked_rows(n: int, k: int, sample_floats: int, row_block, rng):
     """Row-wise :func:`_log_mean_se` of ``n`` rows of ``k`` log terms, tile by tile.
 
@@ -416,9 +423,8 @@ def _blocked_rows(n: int, k: int, sample_floats: int, row_block, rng):
     row of several tiles is a block of its own.  ``row_block(start, stop,
     rng)`` sets up the rows of one block and returns ``tile(m)``, which
     draws ``m`` more samples for each of those rows from ``rng`` and returns
-    their ``(stop - start, m)`` log terms.  The tiles of a row fill its
-    columns of one ``(rows, k)`` array, so :func:`_log_mean_se` sees whole
-    rows.
+    their ``(stop - start, m)`` log terms.  :func:`_tiled` fills one
+    ``(rows, k)`` array with them, so :func:`_log_mean_se` sees whole rows.
 
     ``row_block`` must draw from the block stream it is given and no other
     generator, and start no block loop, so the result depends on the seed
@@ -429,10 +435,7 @@ def _blocked_rows(n: int, k: int, sample_floats: int, row_block, rng):
     out = np.empty((3, n))
 
     def run(lane, start, stop, rng):
-        tile = row_block(start, stop, rng)
-        terms = np.empty((stop - start, k))
-        for a, b in tiles:
-            terms[:, a:b] = tile(b - a)
+        terms = _tiled((stop - start, k), tiles, row_block(start, stop, rng))
         out[:, start:stop] = _log_mean_se(terms)
 
     _each_block(n, tiles[0][1] * sample_floats, rng, run)

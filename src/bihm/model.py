@@ -380,9 +380,10 @@ def bernoulli_step(mu, targets=None, rng=None, shape=None, keep_mean=False):
     ``|(1 - t) - c|`` (``c`` if ``t = 1``, ``1 - c`` if ``t = 0``), with one
     log per unit, and the log-probability sums the last axis as one GEMV
     (:func:`_row_sums`), whose last bits depend on the row's position in
-    the batch.  Returns ``(targets, log_prob, mean)``.  With ``keep_mean`` the clamp works on a
-    copy and ``mean`` is the unclamped ``mu`` that gradients need; otherwise
-    ``mu`` is clamped in place and ``mean`` is None.
+    the batch.  Returns ``(targets, log_prob, mean)``.  With ``keep_mean``
+    the clamp works on a copy and ``mean`` is the unclamped ``mu`` that
+    gradients need; otherwise ``mu`` is clamped in place and ``mean`` is
+    None.
     """
     if targets is None:
         targets = (rng.random(mu.shape if shape is None else shape) < mu).astype(np.float64)
@@ -413,21 +414,20 @@ class Pass(NamedTuple):
 def q_pass(model: BihmModel, x, layers=None, k: int = 1, rng=None, keep_means=False) -> Pass:
     """Bottom-up pass through ``q(h | x)``, one activation per layer.
 
-    Scores ``layers`` when given (they broadcast against ``x``).  Otherwise
-    draws ``k`` samples per visible vector: a sample axis is inserted before
-    the last axis of ``x``, so layer ``l`` has shape ``x.shape[:-1] + (k,
-    d_l)``, and the first activation is computed once per vector rather than
-    once per sample.  Generator draws go layer by layer in row-major order.
+    Scores ``layers`` when given (they broadcast against ``x``); a scoring
+    pass draws nothing, even from a given ``rng``.  Otherwise draws ``k``
+    samples per visible vector: a sample axis is inserted before the last
+    axis of ``x``, so layer ``l`` has shape ``x.shape[:-1] + (k, d_l)``, and
+    the first activation is computed once per vector rather than once per
+    sample.  Generator draws go layer by layer in row-major order.
     """
     below = x[..., None, :] if layers is None else x
+    targets = [None] * len(model.q_layers) if layers is None else layers
     drawn, means, log_q = [], [], 0.0
     for i, layer in enumerate(model.q_layers):
         mu = layer.mean(below)
-        if layers is None:
-            shape = mu.shape[:-2] + (k, mu.shape[-1]) if i == 0 else None
-            below, lq, mean = bernoulli_step(mu, None, rng, shape, keep_means)
-        else:
-            below, lq, mean = bernoulli_step(mu, layers[i], keep_mean=keep_means)
+        shape = mu.shape[:-2] + (k, mu.shape[-1]) if i == 0 else None
+        below, lq, mean = bernoulli_step(mu, targets[i], rng, shape, keep_means)
         log_q = log_q + lq
         drawn.append(below)
         means.append(mean)

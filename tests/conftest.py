@@ -1,6 +1,10 @@
 """Shared fixtures and the acceptance-criterion report hook."""
 
+import ast
+import io
 import os
+import pathlib
+import tokenize
 
 # BLAS pinned to one thread before numpy is first imported, so that
 # ``bihm.estimators._CPUS`` reads every CPU this process may use and the
@@ -26,8 +30,29 @@ def record_criterion(number, status, detail):
     return line
 
 
+def code_lines(source):
+    """Non-blank lines of ``source`` holding a token other than a comment.
+
+    Module, class and function docstrings are left out.
+    """
+    kinds = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    docstrings = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, kinds) and ast.get_docstring(node) is not None:
+            docstrings.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+    layout = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT}
+    lines = set()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type not in layout and tok.type != tokenize.ENDMARKER:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines - docstrings)
+
+
 def pytest_terminal_summary(terminalreporter):
+    package = pathlib.Path(estimators.__file__).parent
+    total = sum(code_lines(path.read_text()) for path in package.glob("*.py"))
     terminalreporter.write_line(f"bihm.estimators._CPUS = {estimators._CPUS}")
+    terminalreporter.write_line(f"src/bihm code lines = {total}")
     if ACCEPTANCE_LINES:
         terminalreporter.write_sep("-", "acceptance criteria")
         for line in ACCEPTANCE_LINES:

@@ -419,6 +419,25 @@ class TestJointLogProbs:
             log_q_given_x(model, np.zeros(2), [np.zeros(1)])
 
 
+class TestScoringPasses:
+    @pytest.mark.parametrize("sizes", [[6, 4, 3], [4, 3]])
+    def test_scoring_passes_draw_nothing(self, sizes):
+        # With every layer given, a pass only scores: a generator passed
+        # along is left as it was, and the scores are those of the public
+        # scoring functions.
+        model = random_model(sizes, np.random.default_rng(30))
+        rng = np.random.default_rng(31)
+        x = (rng.random((5, 2, sizes[0])) < 0.5).astype(np.float64)
+        layers = [(rng.random((5, 2, d)) < 0.5).astype(np.float64) for d in sizes[1:]]
+        state = rng.bit_generator.state
+        q = q_pass(model, x, layers, rng=rng)
+        p = p_pass(model, x, layers, rng=rng)
+        assert rng.bit_generator.state == state
+        assert_array_equal(q.log_prob, log_q_given_x(model, x, layers))
+        assert_array_equal(p.log_prob, log_joint_p(model, x, layers))
+        assert q.log_prob.shape == p.log_prob.shape == (5, 2)
+
+
 class TestAncestralSampling:
     def test_zero_model_visible_means(self):
         model = zero_model([3, 2])

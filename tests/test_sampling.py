@@ -19,8 +19,10 @@ from bihm.model import (
 )
 from bihm.oracle import exact_conditional_pstar, exact_log_ptilde
 from bihm.sampling import (
+    _LOGIT_CLIP,
     GibbsConfig,
     _categorical_rows,
+    _log1m_sum,
     _update_chains,
     _visible_log_terms,
     expected_visible,
@@ -291,6 +293,90 @@ class TestSharedPtilde:
         assert lq.shape == lpt.shape == (9, 4)
         assert np.all(np.isfinite(lq)) and np.all(np.isfinite(lpt))
         assert np.all(lq <= 0.0)
+
+
+def reference_visible_log_terms(model, cand, h1, s, rng):
+    """``_visible_log_terms`` with the layers above ``h_1`` walked by hand.
+
+    Each tile draws ``h_{2:}`` layer by layer from the q stack and scores
+    them under the prior and the upper p stack, with no pass of the model,
+    and sums the per-sample terms as ``(log1m + log p) - log q - 2 log r``.
+    """
+    c, p, _ = cand.shape
+    L = model.num_latent_layers
+    lq = model.q_layers[0].activation(cand)
+    np.clip(lq, -_LOGIT_CLIP, _LOGIT_CLIP, out=lq)
+    mu_q = sigmoid(lq)
+    lq_norm = _log1m_sum(lq.copy())
+    sample_floats = sum(model.layer_sizes) + p
+    tiles = estimators._spans(s, sample_floats, estimators._IN_FLIGHT)
+
+    def span(start, stop):
+        x, mu_x = cand[start:stop], mu_q[start:stop]
+        lq_x, lq_norm_x = lq[start:stop], lq_norm[start:stop, :, None]
+        rows = np.arange(stop - start)[:, None]
+
+        def tile(m):
+            pick = rng.integers(p, size=(stop - start, m))
+            shape = (stop - start, m, mu_x.shape[-1])
+            hs = [(rng.random(shape) < mu_x[rows, pick]).astype(np.float64)]
+            lq_up = 0.0
+            for layer in model.q_layers[1:]:
+                h, lq_h, _ = bernoulli_step(layer.mean(hs[-1]), rng=rng)
+                hs.append(h)
+                lq_up = lq_up + lq_h
+            lp_up = bernoulli_step(sigmoid(model.prior.biases), hs[-1])[1]
+            for i in range(1, L):
+                lp_up += bernoulli_step(model.p_layers[i].mean(hs[i]), hs[i - 1])[1]
+            lq_cross = np.matmul(lq_x, hs[0].swapaxes(1, 2))
+            lq_cross += lq_norm_x
+            top = lq_cross.max(axis=1)
+            log_r = top + np.log(np.exp(lq_cross - top[:, None, :]).mean(axis=1))
+            lp_x = model.p_layers[0].activation(hs[0])
+            np.clip(lp_x, -_LOGIT_CLIP, _LOGIT_CLIP, out=lp_x)
+            terms = np.matmul(x, lp_x.swapaxes(1, 2))
+            terms += lq_cross
+            per_sample = _log1m_sum(lp_x) + lp_up - lq_up - 2.0 * log_r
+            terms += per_sample[:, None, :]
+            terms *= 0.5
+            return terms
+
+        terms = np.empty((stop - start, p, s))
+        for a, b in tiles:
+            terms[..., a:b] = tile(b - a)
+        return estimators._logsumexp(terms) - np.log(s)
+
+    spans = estimators._spans(c, tiles[0][1] * sample_floats, estimators._IN_FLIGHT)
+    lpt = np.concatenate([span(start, stop) for start, stop in spans])
+    return np.matmul(lq, h1[:, :, None])[..., 0] + lq_norm, 2.0 * lpt
+
+
+class TestVisibleReference:
+    """The visible update's bits and draws match :func:`reference_visible_log_terms`."""
+
+    chains, proposals, shared = 5, 25, 100
+
+    @pytest.mark.parametrize("budget", [None, 2**11], ids=["default budget", "spans and tiles"])
+    @pytest.mark.parametrize("sizes", [[8, 5, 4], [20, 10, 6, 3], [4, 3]])
+    def test_matches_the_reference(self, monkeypatch, sizes, budget):
+        if budget is not None:
+            monkeypatch.setattr(estimators, "_BLOCK_FLOATS", budget)
+            # Every chain a span of its own, and its samples in several tiles.
+            sample_floats = sum(sizes) + self.proposals
+            tiles = estimators._spans(self.shared, sample_floats, estimators._IN_FLIGHT)
+            spans = estimators._spans(self.chains, tiles[0][1] * sample_floats, estimators._IN_FLIGHT)
+            assert len(tiles) > 1 and len(spans) == self.chains
+        model = random_model(sizes, np.random.default_rng(206), weight_scale=3.0)
+        rng = np.random.default_rng(207)
+        cand = (rng.random((self.chains, self.proposals, sizes[0])) < 0.5).astype(np.float64)
+        h1 = (rng.random((self.chains, sizes[1])) < 0.5).astype(np.float64)
+        got_rng, want_rng = np.random.default_rng(208), np.random.default_rng(208)
+        got = _visible_log_terms(model, cand, h1, self.shared, got_rng)
+        want = reference_visible_log_terms(model, cand, h1, self.shared, want_rng)
+        for a, b in zip(got, want):
+            assert a.shape == (self.chains, self.proposals)
+            assert np.array_equal(a, b)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 class TestInpainting:
