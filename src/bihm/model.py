@@ -7,27 +7,31 @@ Bernoulli layers down to the visibles) with a bottom-up recognition stack
 distribution is proportional to the geometric mean ``sqrt(p * q)`` of the two
 joints; everything in this module is one of the two directed constituents.
 
-All probability arithmetic is carried out in the log domain (nats).  Bernoulli
-means are clamped to ``[SIGMOID_EPS, 1 - SIGMOID_EPS]`` before taking logs so
-every log-probability is finite; sampling and gradients use the unclamped
-sigmoid.  Parameters are float64 throughout.
+All probability arithmetic is carried out in the log domain (nats).  Every
+score is computed from a layer's activation ``a`` (its logits), clipped to
+the logits of ``SIGMOID_EPS`` and of ``1 - SIGMOID_EPS`` as float64 rounds
+it, so every log-probability is finite and is that of the mean clamped to
+``[SIGMOID_EPS, 1 - SIGMOID_EPS]``; sampling and gradients use the
+unclamped sigmoid.  Parameters are float64 throughout.
 
-Every directed computation chains one layer step, :func:`bernoulli_step`: it
-takes the sigmoid mean of one activation, draws the layer when no target is
-given and scores the target.  :func:`q_pass` runs it bottom-up and
-:func:`p_pass` top-down, so each activation is computed once per pass.  The
-passes skip input checks; the public functions check their arguments and
-run one pass: :func:`log_joint_p` and :func:`log_q_given_x` score,
-:func:`sample_q_rows` and :func:`sample_p_batch` draw.  One visible vector is
-a one-row batch, ``x[None]``.  :func:`layer_log_prob` and
+Every directed computation chains one layer step, :func:`bernoulli_step`,
+the package's one Bernoulli scoring rule: it takes one activation, draws
+the layer from its sigmoid mean when no target is given and scores the
+target from the activation, ``-log1p(exp((1 - 2t) a))`` per unit.
+:func:`q_pass` runs it bottom-up and :func:`p_pass` top-down, so each
+activation is computed once per pass.  The passes skip input checks; the
+public functions check their arguments and run one pass:
+:func:`log_joint_p` and :func:`log_q_given_x` score,
+:func:`sample_q_rows` and :func:`sample_p_batch` draw.  One visible vector
+is a one-row batch, ``x[None]``.  :func:`layer_log_prob` and
 :func:`layer_sample` run the step for a single layer.
 
 A layer's activation is one 2-D BLAS matrix product over all leading axes
 of its input, and so is each weight gradient of :func:`weighted_gradient`,
 over all rows and samples of the weighted deltas and the inputs, and a
 score's last-axis sum is one matrix-vector product, :func:`_row_sums`;
-:func:`sigmoid` is built from numpy's vectorized ``exp``, in place on the
-fresh logits.
+:func:`sigmoid` is built from numpy's vectorized ``exp``, and the score
+works in place on the fresh activation.
 
 Array arguments may carry leading batch axes: log-probability functions reduce
 over the last axis only, so ``layer_log_prob(layer, V, T)`` with ``V`` of shape
@@ -62,6 +66,10 @@ __all__ = [
 ]
 
 SIGMOID_EPS = 1e-7
+
+# The logits of SIGMOID_EPS and of fl(1 - SIGMOID_EPS), which is not
+# 1 - SIGMOID_EPS: a score clips its activation to them.
+_LOGIT_BOUNDS = tuple(math.log(c) - math.log1p(-c) for c in (SIGMOID_EPS, 1.0 - SIGMOID_EPS))
 
 
 class ShapeError(ValueError):
@@ -370,28 +378,34 @@ def _row_sums(a):
     return (a.reshape(-1, d) @ np.ones(d)).reshape(a.shape[:-1])
 
 
-def bernoulli_step(mu, targets=None, rng=None, shape=None, keep_mean=False):
-    """Draw ``targets`` from ``Bernoulli(mu)`` when none are given, then score them.
+def bernoulli_step(a, targets=None, rng=None, shape=None, keep_mean=False):
+    """Draw ``targets`` from ``Bernoulli(sigmoid(a))`` when none are given, then score them.
 
-    Draws have shape ``shape`` (default ``mu.shape``; ``mu`` broadcasts to
-    it).  Targets must be 0 or 1; the public entry points check this, and
-    the step itself does not.  Each target is scored by the probability the
-    clamped mean ``c = clip(mu, SIGMOID_EPS, 1 - SIGMOID_EPS)`` gives it,
-    ``|(1 - t) - c|`` (``c`` if ``t = 1``, ``1 - c`` if ``t = 0``), with one
-    log per unit, and the log-probability sums the last axis as one GEMV
-    (:func:`_row_sums`), whose last bits depend on the row's position in
-    the batch.  Returns ``(targets, log_prob, mean)``.  With ``keep_mean``
-    the clamp works on a copy and ``mean`` is the unclamped ``mu`` that
-    gradients need; otherwise ``mu`` is clamped in place and ``mean`` is
-    None.
+    ``a`` is the layer's activation.  Draws have shape ``shape`` (default
+    ``a.shape``; ``a`` broadcasts to it).  Targets must be 0 or 1; the
+    public entry points check this, and the step itself does not.  Each
+    unit scores ``-log1p(exp((1 - 2t) a))``, the log of the probability
+    ``sigmoid(a)`` gives ``t``, with ``a`` clipped to ``_LOGIT_BOUNDS``,
+    which scores it as the mean clamped to ``[SIGMOID_EPS, 1 -
+    SIGMOID_EPS]``.  The log-probability sums these unit terms over the
+    last axis as one GEMV (:func:`_row_sums`), whose last bits depend on
+    the row's position in the batch; the row form ``t . a - sum log(1 +
+    exp(a))`` would lose digits to cancellation.  Returns ``(targets,
+    log_prob, mean)``: with ``keep_mean``, ``mean`` is the unclamped
+    ``sigmoid(a)`` that gradients need, otherwise None.  The sigmoid is
+    taken only for a draw or ``keep_mean``.
+
+    ``a`` is overwritten, so callers pass a fresh activation, never a view
+    of the model's parameters.
     """
+    # Into one new array: sigmoid(a) alone would allocate three.
+    mean = sigmoid(a, np.empty_like(a)) if keep_mean or targets is None else None
     if targets is None:
-        targets = (rng.random(mu.shape if shape is None else shape) < mu).astype(np.float64)
-    clamped = np.clip(mu, SIGMOID_EPS, 1.0 - SIGMOID_EPS, out=None if keep_mean else mu)
-    prob = np.subtract(1.0 - targets, clamped)
-    np.abs(prob, out=prob)
-    log_prob = _row_sums(np.log(prob, out=prob))
-    return targets, log_prob, (mu if keep_mean else None)
+        targets = (rng.random(a.shape if shape is None else shape) < mean).astype(np.float64)
+    np.clip(a, *_LOGIT_BOUNDS, out=a)
+    sign = np.subtract(1.0, 2.0 * targets)
+    z = np.multiply(a, sign, out=a if np.broadcast(a, sign).shape == a.shape else None)
+    return targets, -_row_sums(np.log1p(np.exp(z, out=z), out=z)), mean if keep_mean else None
 
 
 class Pass(NamedTuple):
@@ -425,9 +439,9 @@ def q_pass(model: BihmModel, x, layers=None, k: int = 1, rng=None, keep_means=Fa
     targets = [None] * len(model.q_layers) if layers is None else layers
     drawn, means, log_q = [], [], 0.0
     for i, layer in enumerate(model.q_layers):
-        mu = layer.mean(below)
-        shape = mu.shape[:-2] + (k, mu.shape[-1]) if i == 0 else None
-        below, lq, mean = bernoulli_step(mu, targets[i], rng, shape, keep_means)
+        a = layer.activation(below)
+        shape = a.shape[:-2] + (k, a.shape[-1]) if i == 0 else None
+        below, lq, mean = bernoulli_step(a, targets[i], rng, shape, keep_means)
         log_q = log_q + lq
         drawn.append(below)
         means.append(mean)
@@ -444,11 +458,11 @@ def p_pass(model: BihmModel, x=None, layers=None, k: int = 1, rng=None, keep_mea
     L = model.num_latent_layers
     hs = [x] + ([None] * L if layers is None else list(layers))
     terms, means = [None] * (L + 1), [None] * (L + 1)
-    mu = sigmoid(model.prior.biases)
-    hs[L], terms[L], means[L] = bernoulli_step(mu, hs[L], rng, (k,) + mu.shape, keep_means)
+    a = model.prior.biases.copy()
+    hs[L], terms[L], means[L] = bernoulli_step(a, hs[L], rng, (k,) + a.shape, keep_means)
     for i in range(L - 1, -1, -1):
-        mu = model.p_layers[i].mean(hs[i + 1])
-        hs[i], terms[i], means[i] = bernoulli_step(mu, hs[i], rng, None, keep_means)
+        a = model.p_layers[i].activation(hs[i + 1])
+        hs[i], terms[i], means[i] = bernoulli_step(a, hs[i], rng, None, keep_means)
     log_p = terms[L]
     for term in terms[:L]:
         log_p = log_p + term
@@ -512,14 +526,14 @@ def layer_log_prob(layer: BeliefLayer, inputs, targets) -> np.ndarray:
     _check_last_dim("layer input", v, layer.in_dim)
     _check_last_dim("layer target", t, layer.out_dim)
     _check_binary("layer target", t)
-    return bernoulli_step(layer.mean(v), t)[1]
+    return bernoulli_step(layer.activation(v), t)[1]
 
 
 def layer_sample(layer: BeliefLayer, inputs, rng: np.random.Generator) -> np.ndarray:
     """Draw each output bit independently from ``Bernoulli(sigmoid(W v + b))``."""
     v = _as_float_array(inputs)
     _check_last_dim("layer input", v, layer.in_dim)
-    return bernoulli_step(layer.mean(v), rng=rng)[0]
+    return bernoulli_step(layer.activation(v), rng=rng)[0]
 
 
 # ---------------------------------------------------------------------------

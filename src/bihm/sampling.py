@@ -46,12 +46,11 @@ import numpy as np
 
 from bihm.estimators import _IN_FLIGHT, _each_block, _logsumexp, _spans, _tiled
 from bihm.model import (
-    SIGMOID_EPS,
+    _LOGIT_BOUNDS,
     BihmModel,
     _bind,
     _check_last_dim,
     _checked_visible,
-    _row_sums,
     bernoulli_step,
     p_pass,
     q_pass,
@@ -88,25 +87,10 @@ class GibbsConfig:
 # 0.030-0.043 at 4x, where the per-candidate estimate reached 0.034-0.042.
 _SHARED_PER_PROPOSAL = 4
 
-# The logit of 1 - SIGMOID_EPS: clipping an activation to +-this clamps its
-# mean as bernoulli_step clamps it.
-_LOGIT_CLIP = float(np.log1p(-SIGMOID_EPS) - np.log(SIGMOID_EPS))
-
-
 def _categorical_rows(log_w: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """One index per row, drawn proportionally to exp(log_w) (Gumbel trick)."""
     u = rng.random(log_w.shape)
     return np.argmax(log_w - np.log(-np.log(u)), axis=1)
-
-
-def _log1m_sum(logits):
-    """``sum log(1 - sigmoid(l))`` over the last axis of clipped logits; overwrites them.
-
-    ``log(1 - sigmoid(l)) = -log1p(exp(l))``, and the clip keeps ``exp`` far
-    from overflow.
-    """
-    np.exp(logits, out=logits)
-    return -_row_sums(np.log1p(logits, out=logits))
 
 
 def _visible_log_terms(model, cand, h1, s, rng):
@@ -126,9 +110,12 @@ def _visible_log_terms(model, cand, h1, s, rng):
     :func:`bihm.model.p_pass` on the BiHM above ``h_1``: the prior and
     the upper layers of both stacks, as views.  The two cross terms,
     ``log p(x_j | h_1)`` and ``log q(h_1 | x_j)`` for every candidate and
-    sample, are one batched matmul each on clipped logits ``l``: a 0/1
-    target ``t`` scores ``t . l + sum log(1 - sigmoid(l))``, which is
-    :func:`bernoulli_step`'s clamped score up to rounding.
+    sample, are one batched matmul each on logits ``l`` clipped to
+    :data:`bihm.model._LOGIT_BOUNDS`: a 0/1 target ``t`` scores
+    ``t . l + sum log(1 - sigmoid(l))``, the sum over units of
+    :func:`bernoulli_step`'s score, added in another order, and the
+    ``sum log(1 - sigmoid(l))`` term is :func:`bernoulli_step`'s score of
+    the all-zero target.
 
     Each sample holds its visible and latent floats and its P cross terms.
     The chains come in :func:`bihm.estimators._spans` at a lane's share of
@@ -143,9 +130,9 @@ def _visible_log_terms(model, cand, h1, s, rng):
     upper = _bind(BihmModel, prior=model.prior, layer_sizes=model.layer_sizes[1:],
                   p_layers=model.p_layers[1:], q_layers=model.q_layers[1:])
     lq = model.q_layers[0].activation(cand)
-    np.clip(lq, -_LOGIT_CLIP, _LOGIT_CLIP, out=lq)
+    np.clip(lq, *_LOGIT_BOUNDS, out=lq)
     mu_q = sigmoid(lq)
-    lq_norm = _log1m_sum(lq.copy())
+    lq_norm = bernoulli_step(lq.copy(), 0.0)[1]
     sample_floats = sum(model.layer_sizes) + p
     tiles = _spans(s, sample_floats, _IN_FLIGHT)
 
@@ -168,10 +155,10 @@ def _visible_log_terms(model, cand, h1, s, rng):
             top = lq_cross.max(axis=1)
             log_r = top + np.log(np.exp(lq_cross - top[:, None, :]).mean(axis=1))
             lp_x = model.p_layers[0].activation(h1s)
-            np.clip(lp_x, -_LOGIT_CLIP, _LOGIT_CLIP, out=lp_x)
+            np.clip(lp_x, *_LOGIT_BOUNDS, out=lp_x)
             terms = np.matmul(x, lp_x.swapaxes(1, 2))
             terms += lq_cross
-            per_sample = _log1m_sum(lp_x)[..., None] + lp_up - up_q.log_prob
+            per_sample = bernoulli_step(lp_x, 0.0)[1][..., None] + lp_up - up_q.log_prob
             terms += (per_sample - 2.0 * log_r[..., None]).swapaxes(1, 2)
             terms *= 0.5
             return terms
@@ -199,30 +186,32 @@ def _update_chains(model, chains, l, config, rng, mask=None, observed=None) -> N
         chains[0] = np.broadcast_to(observed, (c, d)).copy()
         return
 
-    # The proposal means are also the means that score the candidates, so
-    # only the factors conditioned on the candidates need activations.
-    mu_p = sigmoid(model.prior.biases) if l == L else model.p_layers[l].mean(chains[l + 1])
+    # The proposals are drawn from the sigmoid means and the candidates are
+    # scored from the same activations, so only the factors conditioned on
+    # the candidates need new activations.
+    a_p = model.prior.biases.copy() if l == L else model.p_layers[l].activation(chains[l + 1])
+    mu_p = sigmoid(a_p)
     if l == 0:
         mu_mix = mu_p[:, None, :]
     else:
-        mu_q = model.q_layers[l - 1].mean(chains[l - 1])
+        a_q = model.q_layers[l - 1].activation(chains[l - 1])
         coin = rng.random((c, p, 1)) < 0.5
-        mu_mix = np.where(coin, mu_p[..., None, :], mu_q[:, None, :])
+        mu_mix = np.where(coin, mu_p[..., None, :], sigmoid(a_q)[:, None, :])
     cand = (rng.random((c, p, d)) < mu_mix).astype(np.float64)
     if l == 0 and mask is not None:
         cand = np.where(mask.astype(bool), observed, cand)
 
-    lp_self = bernoulli_step(mu_p[..., None, :], cand)[1]
+    lp_self = bernoulli_step(a_p[..., None, :], cand)[1]
     if l == 0:
         lq_above, lpt = _visible_log_terms(model, cand, chains[1], _SHARED_PER_PROPOSAL * p, rng)
         log_w = 0.5 * (lpt + lq_above - lp_self)
     else:
-        lq_self = bernoulli_step(mu_q[:, None, :], cand)[1]
+        lq_self = bernoulli_step(a_q[:, None, :], cand)[1]
         if l == L:
             lq_above = 0.0
         else:
-            lq_above = bernoulli_step(model.q_layers[l].mean(cand), chains[l + 1][:, None, :])[1]
-        lp_below = bernoulli_step(model.p_layers[l - 1].mean(cand), chains[l - 1][:, None, :])[1]
+            lq_above = bernoulli_step(model.q_layers[l].activation(cand), chains[l + 1][:, None, :])[1]
+        lp_below = bernoulli_step(model.p_layers[l - 1].activation(cand), chains[l - 1][:, None, :])[1]
         log_w = 0.5 * (lp_self + lp_below + lq_above + lq_self) - np.logaddexp(lp_self, lq_self)
     chains[l] = cand[np.arange(c), _categorical_rows(log_w, rng)]
 

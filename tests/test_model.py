@@ -36,8 +36,9 @@ from bihm.model import (
     weighted_gradient,
     zero_model,
 )
-from bihm.estimators import est_log_ptilde_rows
+from bihm.estimators import est_log_ptilde_rows, log_weights
 from bihm.oracle import _blocks, bit_matrix
+from bihm.sampling import GibbsConfig, gibbs_sample_chains
 from bihm.training import minibatch_gradient
 
 
@@ -49,7 +50,7 @@ def stack_latents(model, configs):
 
 def prior_log_prob(prior, h):
     """Log-probability of ``h`` under the prior: the step :func:`p_pass` takes at the top."""
-    return bernoulli_step(sigmoid(prior.biases), np.asarray(h, dtype=np.float64))[1]
+    return bernoulli_step(prior.biases.copy(), np.asarray(h, dtype=np.float64))[1]
 
 
 def q1_gradient(layer, v, t):
@@ -247,19 +248,34 @@ def activations_and_targets(draw):
     return a, t
 
 
-class TestBernoulliStepScore:
-    """The one-log score of a 0/1 target against the two-log reference."""
+def two_log_reference(a, t):
+    """``sum t log c + (1 - t) log(1 - c)`` in ``np.longdouble``, ``c`` the clamped mean of ``a``.
 
+    The mean is clamped to the float64 bounds ``[SIGMOID_EPS, fl(1 -
+    SIGMOID_EPS)]``, as :func:`clamped_sigmoid` clamps it.  In float64 this
+    reference is itself off by up to 8.5e-12 relative (``1 - c`` loses the
+    digits of ``c`` near 1, at ``a = 11`` already); the 64-bit significand
+    of the x86 extended type keeps them.
+    """
+    a = np.asarray(a, dtype=np.longdouble)
+    lo, hi = np.longdouble(SIGMOID_EPS), np.longdouble(1.0 - SIGMOID_EPS)
+    c = np.clip(1 / (1 + np.exp(-a)), lo, hi)
+    return np.sum(t * np.log(c) + (1 - t) * np.log1p(-c), axis=-1)
+
+
+class TestBernoulliStepScore:
+    """The score of a 0/1 target, from the activation, against the two-log reference."""
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63, reason="needs an extended long double")
     @settings(max_examples=300, deadline=None)
     @given(activations_and_targets())
     def test_matches_two_log_reference(self, drawn):
         a, t = drawn
-        c = clamped_sigmoid(a)
-        reference = np.sum(t * np.log(c) + (1.0 - t) * np.log1p(-c), axis=-1)
-        score = bernoulli_step(sigmoid(a), t)[1]
+        reference = two_log_reference(a, t)
+        score = bernoulli_step(a.copy(), t)[1]
         # 1e-13 per row, scaled by the row's size once it exceeds 1 nat: a
         # row of 300 saturated units sums to about -2000 nats, where one
-        # rounding step of either sum is 2.3e-13.
+        # rounding step of the sum is 2.3e-13.
         assert np.all(np.abs(score - reference) <= 1e-13 * np.maximum(1.0, np.abs(reference)))
 
     def test_saturated_means_score_the_clamp(self):
@@ -267,16 +283,17 @@ class TestBernoulliStepScore:
         t = np.array([[0.0, 1.0, 1.0, 0.0]])
         c = clamped_sigmoid(a)
         expected = 2 * math.log1p(-SIGMOID_EPS) + math.log(SIGMOID_EPS) + math.log1p(-c[0, 1])
-        assert_allclose(bernoulli_step(sigmoid(a), t)[1], [expected], rtol=1e-15)
+        assert_allclose(bernoulli_step(a.copy(), t)[1], [expected], rtol=1e-15)
 
     def test_keep_mean_leaves_the_mean_unclamped(self):
-        mu = sigmoid(np.array([[-40.0, 0.3, 40.0]]))
-        before = mu.copy()
-        _, score, mean = bernoulli_step(mu, np.array([[0.0, 1.0, 1.0]]), keep_mean=True)
-        assert mean is mu
-        assert_array_equal(mu, before)
-        _, clamped_score, _ = bernoulli_step(mu.copy(), np.array([[0.0, 1.0, 1.0]]))
-        assert_array_equal(score, clamped_score)
+        a = np.array([[-40.0, 0.3, 40.0]])
+        t = np.array([[0.0, 1.0, 1.0]])
+        _, score, mean = bernoulli_step(a.copy(), t, keep_mean=True)
+        assert_array_equal(mean, sigmoid(np.array([[-40.0, 0.3, 40.0]])))
+        assert mean[0, 0] < SIGMOID_EPS and mean[0, 2] > 1.0 - SIGMOID_EPS
+        _, clipped_score, no_mean = bernoulli_step(a.copy(), t)
+        assert no_mean is None
+        assert_array_equal(score, clipped_score)
 
 
 class TestPrior:
@@ -335,8 +352,8 @@ class TestLayerSample:
 
     def test_prior_sample(self):
         prior = FactorizedPrior(np.zeros(3))
-        mu = sigmoid(prior.biases)
-        draws = bernoulli_step(mu, rng=np.random.default_rng(4), shape=(2000, prior.dim))[0]
+        rng = np.random.default_rng(4)
+        draws = bernoulli_step(prior.biases.copy(), rng=rng, shape=(2000, prior.dim))[0]
         assert draws.shape == (2000, 3)
         assert np.all(np.abs(draws.mean(axis=0) - 0.5) < 0.05)
 
@@ -468,6 +485,28 @@ class TestAncestralSampling:
                 se = math.sqrt(prob * (1 - prob) / n)
                 assert abs(emp - prob) < 4 * se
 
+    @pytest.mark.parametrize("sizes", [[6, 4, 3], [4, 3]])
+    def test_passes_draw_uniforms_below_the_sigmoid_of_the_activation(self, sizes):
+        # Layer by layer, each draw is (u < sigmoid(W v + b)) for the next
+        # uniforms u of the generator, with the unclamped sigmoid.
+        model = random_model(sizes, np.random.default_rng(17), weight_scale=3.0, bias_scale=3.0)
+        x = (np.random.default_rng(18).random((5, sizes[0])) < 0.5).astype(np.float64)
+        rng, ref = np.random.default_rng(19), np.random.default_rng(19)
+
+        def expected(mean, shape):
+            return (ref.random(shape) < mean).astype(np.float64)
+
+        below = x[:, None, :]
+        for layer, drawn in zip(model.q_layers, q_pass(model, x, k=3, rng=rng).layers):
+            assert_array_equal(drawn, expected(sigmoid(layer.activation(below)), drawn.shape))
+            below = drawn
+        p = p_pass(model, k=4, rng=rng)
+        hs = [p.x] + p.layers
+        assert_array_equal(hs[-1], expected(sigmoid(model.prior.biases), hs[-1].shape))
+        for i in range(model.num_latent_layers - 1, -1, -1):
+            mean = sigmoid(model.p_layers[i].activation(hs[i + 1]))
+            assert_array_equal(hs[i], expected(mean, hs[i].shape))
+
     def test_sample_q_rows_shapes(self):
         model = zero_model([3, 2, 2])
         rows = np.zeros((5, 3))
@@ -475,6 +514,30 @@ class TestAncestralSampling:
         assert [a.shape for a in layers] == [(5, 4, 2), (5, 4, 2)]
         with pytest.raises(ShapeError):
             sample_q_rows(model, np.zeros(3), 4, np.random.default_rng(0))
+
+
+class TestPassesLeaveTheModel:
+    def test_no_pass_writes_the_parameters(self):
+        # Biases of +-40 lie past the score's clip, so a pass that scored a
+        # view of the parameters in place would rewrite them.
+        sizes = (5, 4, 3)
+        params = random_model(sizes, np.random.default_rng(26), weight_scale=3.0).params.copy()
+        for name, view in param_views(params, sizes).items():
+            if name.endswith("biases"):
+                view[:2] = (40.0, -40.0)
+        model = BihmModel.from_params(sizes, params)
+        before = params.copy()
+        rng = np.random.default_rng(27)
+        x = (rng.random((6, 5)) < 0.5).astype(np.float64)
+        drawn = p_pass(model, k=4, rng=rng)
+        p_pass(model, drawn.x, drawn.layers)
+        q_pass(model, x, k=3, rng=rng, keep_means=True)
+        q_pass(model, drawn.x, drawn.layers)
+        log_weights(model, x, k=3, rng=rng)
+        minibatch_gradient(model, x, 3, rng)
+        # Three layers, so the sweeps also update the top one, under the prior.
+        gibbs_sample_chains(model, 3, GibbsConfig(num_sweeps=2, proposals_per_step=4), rng)
+        assert_array_equal(model.params.view(np.int64), before.view(np.int64))
 
 
 class TestOneActivationPerLayer:

@@ -8,6 +8,7 @@ from numpy.testing import assert_array_equal
 
 import bihm.estimators as estimators
 from bihm.model import (
+    _LOGIT_BOUNDS,
     BeliefLayer,
     BihmModel,
     FactorizedPrior,
@@ -19,10 +20,8 @@ from bihm.model import (
 )
 from bihm.oracle import exact_conditional_pstar, exact_log_ptilde
 from bihm.sampling import (
-    _LOGIT_CLIP,
     GibbsConfig,
     _categorical_rows,
-    _log1m_sum,
     _update_chains,
     _visible_log_terms,
     expected_visible,
@@ -279,7 +278,7 @@ class TestSharedPtilde:
         cand = (rng.random((7, 3, 8)) < 0.5).astype(np.float64)
         h1 = (rng.random((7, 5)) < 0.5).astype(np.float64)
         lq, _ = _visible_log_terms(model, cand, h1, 2, rng)
-        expected = bernoulli_step(model.q_layers[0].mean(cand), h1[:, None, :])[1]
+        expected = bernoulli_step(model.q_layers[0].activation(cand), h1[:, None, :])[1]
         np.testing.assert_allclose(lq, expected, rtol=1e-12, atol=1e-9)
 
     def test_shapes_and_finite_under_an_inpainting_mask(self):
@@ -305,9 +304,9 @@ def reference_visible_log_terms(model, cand, h1, s, rng):
     c, p, _ = cand.shape
     L = model.num_latent_layers
     lq = model.q_layers[0].activation(cand)
-    np.clip(lq, -_LOGIT_CLIP, _LOGIT_CLIP, out=lq)
+    np.clip(lq, *_LOGIT_BOUNDS, out=lq)
     mu_q = sigmoid(lq)
-    lq_norm = _log1m_sum(lq.copy())
+    lq_norm = bernoulli_step(lq.copy(), 0.0)[1]
     sample_floats = sum(model.layer_sizes) + p
     tiles = estimators._spans(s, sample_floats, estimators._IN_FLIGHT)
 
@@ -322,21 +321,21 @@ def reference_visible_log_terms(model, cand, h1, s, rng):
             hs = [(rng.random(shape) < mu_x[rows, pick]).astype(np.float64)]
             lq_up = 0.0
             for layer in model.q_layers[1:]:
-                h, lq_h, _ = bernoulli_step(layer.mean(hs[-1]), rng=rng)
+                h, lq_h, _ = bernoulli_step(layer.activation(hs[-1]), rng=rng)
                 hs.append(h)
                 lq_up = lq_up + lq_h
-            lp_up = bernoulli_step(sigmoid(model.prior.biases), hs[-1])[1]
+            lp_up = bernoulli_step(model.prior.biases.copy(), hs[-1])[1]
             for i in range(1, L):
-                lp_up += bernoulli_step(model.p_layers[i].mean(hs[i]), hs[i - 1])[1]
+                lp_up += bernoulli_step(model.p_layers[i].activation(hs[i]), hs[i - 1])[1]
             lq_cross = np.matmul(lq_x, hs[0].swapaxes(1, 2))
             lq_cross += lq_norm_x
             top = lq_cross.max(axis=1)
             log_r = top + np.log(np.exp(lq_cross - top[:, None, :]).mean(axis=1))
             lp_x = model.p_layers[0].activation(hs[0])
-            np.clip(lp_x, -_LOGIT_CLIP, _LOGIT_CLIP, out=lp_x)
+            np.clip(lp_x, *_LOGIT_BOUNDS, out=lp_x)
             terms = np.matmul(x, lp_x.swapaxes(1, 2))
             terms += lq_cross
-            per_sample = _log1m_sum(lp_x) + lp_up - lq_up - 2.0 * log_r
+            per_sample = bernoulli_step(lp_x, 0.0)[1] + lp_up - lq_up - 2.0 * log_r
             terms += per_sample[:, None, :]
             terms *= 0.5
             return terms
